@@ -16,13 +16,16 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .driver import (
+    CHECK_MODES,
     MODES,
+    REFINE_MODES,
     REPORT_COLUMNS,
     RunConfig,
     evaluate_report,
@@ -36,7 +39,7 @@ from .lowerbound import (
     new_task_angle_stats,
     sample_complexity_ledger,
 )
-from .refinement import dump_solution, refine
+from .refinement import DEFAULT_TOL, dump_solution, refine
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,14 +93,15 @@ def _read_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace, keys: dict) -> dict:
     """File values under flag overrides, every key checked and typed."""
+    keys = {**keys, "output_dir": str}
     merged = {}
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         for key, val in _read_config_file(args.config).items():
             if key not in keys:
                 raise CliError(f"unknown config key {key!r}")
             merged[key] = _cast(key, val, keys[key])
     for key in keys:
-        flag_val = getattr(args, key, None)
+        flag_val = getattr(args, key)
         if flag_val is not None:
             merged[key] = flag_val
     return merged
@@ -138,60 +142,62 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
-_RUN_KEYS = {
-    "d": int,
-    "k": int,
-    "m": int,
-    "N": int,
-    "epsilon": float,
-    "epsilon_acc": float,
-    "acc_constant": float,
-    "c_s": float,
-    "seed": int,
-    "trials": int,
-    "mode": str,
-    "check_mode": str,
-    "refine_every": str,
-    "r_max": int,
-    "sdp_tol": float,
-    "sdp_max_iters": int,
-}
-_COMMON_KEYS = {"output_dir": str, "jobs": int}
-_SWEEP_KEYS = {"d_grid": str, "epsilon_grid": str}
+def _scalar(hint):
+    """The value type behind an optional annotation: `int | None` -> int."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
 
-_CONFIG_FIELDS = (
-    "d",
-    "k",
-    "m",
-    "N",
-    "epsilon",
-    "epsilon_acc",
-    "acc_constant",
-    "c_s",
-    "seed",
-    "trials",
-    "check_mode",
-    "refine_every",
-    "r_max",
-    "sdp_tol",
-    "sdp_max_iters",
-)
+
+# One key table per subcommand, {key: type}. Config-file keys and --flags
+# both come from these; the run keys are RunConfig's own fields.
+_RUN_HINTS = typing.get_type_hints(RunConfig)
+_RUN_KEYS = {f.name: _scalar(_RUN_HINTS[f.name]) for f in fields(RunConfig)}
+_SIMULATE_KEYS = {**_RUN_KEYS, "jobs": int}
+_SWEEP_KEYS = {**_SIMULATE_KEYS, "d_grid": str, "epsilon_grid": str}
+_REFINE_KEYS = {
+    "input": str,
+    "k": int,
+    "tol": float,
+    "max_iters": int,
+    "c": int,
+    "trim": bool,
+    "eps_acc": float,
+    "dump": str,
+}
+_LB_KEYS = {
+    "k": int,
+    "eps": float,
+    "eps_vector": str,
+    "eps_target": float,
+    "n_random": int,
+    "trials": int,
+    "subset": str,
+    "seed": int,
+}
+_CHOICES = {"mode": MODES, "check_mode": CHECK_MODES, "refine_every": REFINE_MODES}
+_HELP = {
+    "d_grid": "comma-separated dimensions",
+    "epsilon_grid": "comma-separated accuracies",
+    "input": "one whitespace-separated vector per line",
+    "dump": "write a solver state dump to this file",
+    "eps": "equal per-coordinate accuracy",
+    "eps_vector": "comma-separated per-coordinate accuracies",
+    "subset": "comma-separated coordinate subset",
+}
 
 
 def _base_config(merged: dict, mode: str) -> RunConfig:
-    kwargs = {k: merged[k] for k in _CONFIG_FIELDS if k in merged}
+    kwargs = {k: v for k, v in merged.items() if k in _RUN_KEYS}
+    kwargs["mode"] = mode
     try:
-        return RunConfig(mode=mode, **kwargs)
+        return RunConfig(**kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
 def _echoable(merged: dict, cfg: RunConfig, mode: str) -> dict:
     out = dict(merged)
-    for key in _CONFIG_FIELDS:
-        val = getattr(cfg, key)
-        if val is not None:
-            out[key] = val
+    out.update((k, v) for k, v in asdict(cfg).items() if v is not None)
     out["mode"] = mode
     out.setdefault("jobs", 1)
     return out
@@ -247,8 +253,31 @@ def _mode_report_lines(cfg: RunConfig, reports, problems) -> list:
     return lines
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    merged = _resolve(args, {**_RUN_KEYS, **_COMMON_KEYS})
+def _run_checked(cfg: RunConfig, jobs: int) -> tuple:
+    """(reports, invariant problems, all refinements converged) for one config."""
+    try:
+        reports = run_trials(cfg, jobs=jobs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    converged = all(r.refinement_converged for r in reports)
+    return reports, _check_invariants(cfg, reports), converged
+
+
+def _finish(out_dir: Path, lines: list, problems: list, converged: bool) -> int:
+    """Exit code from the checks; the report ends with it and is written out."""
+    if problems:
+        code = EXIT_INVARIANT
+    elif not converged:
+        code = EXIT_SOLVER
+    else:
+        code = EXIT_OK
+    lines.append(f"exit code: {code}")
+    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    print("\n".join(lines))
+    return code
+
+
+def _cmd_simulate(merged: dict) -> int:
     _require(merged, "d", "k", "m")
     mode_req = merged.get("mode", "basic")
     if mode_req not in MODES + ("all",):
@@ -264,34 +293,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     converged = True
     for mode in modes:
         cfg = replace(base, mode=mode)
-        try:
-            reports = run_trials(cfg, jobs=jobs)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        reports, mode_problems, mode_converged = _run_checked(cfg, jobs)
         for trial, rep in enumerate(reports):
             all_rows.extend(report_rows(rep, trial))
         table = evaluate_report(reports)
         _write_csv(
             out_dir / f"summary_{mode}.csv", summary_columns(table), summary_rows(table)
         )
-        mode_problems = _check_invariants(cfg, reports)
         problems.extend(mode_problems)
-        converged = converged and all(r.refinement_converged for r in reports)
+        converged = converged and mode_converged
         report_lines.extend(_mode_report_lines(cfg, reports, mode_problems))
 
     _write_csv(out_dir / "runs.csv", REPORT_COLUMNS, all_rows)
     _echo_config(out_dir, _echoable(merged, base, mode_req))
-
-    if problems:
-        code = EXIT_INVARIANT
-    elif not converged:
-        code = EXIT_SOLVER
-    else:
-        code = EXIT_OK
-    report_lines.append(f"exit code: {code}")
-    (out_dir / "report.txt").write_text("\n".join(report_lines) + "\n")
-    print("\n".join(report_lines))
-    return code
+    return _finish(out_dir, report_lines, problems, converged)
 
 
 def _parse_grid(text: str, typ, name: str) -> list:
@@ -311,8 +326,7 @@ def _fit_line(xs, ys) -> tuple:
     return float(slope), float(intercept), r2
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _resolve(args, {**_RUN_KEYS, **_COMMON_KEYS, **_SWEEP_KEYS})
+def _cmd_sweep(merged: dict) -> int:
     _require(merged, "k", "m")
     mode = merged.get("mode", "basic")
     if mode not in MODES:
@@ -337,26 +351,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     problems = []
     converged = True
 
-    def run_point(cfg: RunConfig) -> float:
+    def run_point(point: dict, axis: str, value) -> float:
         nonlocal converged
-        try:
-            reports = run_trials(cfg, jobs=jobs)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        problems.extend(_check_invariants(cfg, reports))
-        converged = converged and all(r.refinement_converged for r in reports)
+        cfg = _base_config(point, mode=mode)
+        reports, point_problems, point_converged = _run_checked(cfg, jobs)
+        problems.extend(point_problems)
+        converged = converged and point_converged
         totals = [r.samples_total for r in reports]
-        return float(np.mean(totals)), float(np.std(totals))
+        mean = float(np.mean(totals))
+        rows.append([axis, value, cfg.trials, mean, float(np.std(totals))])
+        return mean
 
-    base_merged = dict(merged)
     if d_grid:
-        means = []
-        for d in d_grid:
-            point = dict(base_merged, d=d)
-            cfg = _base_config(point, mode=mode)
-            mean, std = run_point(cfg)
-            means.append(mean)
-            rows.append(["d", d, cfg.trials, mean, std])
+        means = [run_point(dict(merged, d=d), "d", d) for d in d_grid]
         if len(d_grid) >= 2:
             slope, intercept, r2 = _fit_line(d_grid, means)
             lines.append(
@@ -366,14 +373,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             lines.append("d fit skipped (single grid point)")
     if eps_grid:
-        emeans = []
-        for eps in eps_grid:
-            point = dict(base_merged, epsilon=eps)
-            point.pop("epsilon_acc", None)  # rescale with each grid point
-            cfg = _base_config(point, mode=mode)
-            mean, std = run_point(cfg)
-            emeans.append(mean)
-            rows.append(["epsilon", eps, cfg.trials, mean, std])
+        # epsilon_acc is left out so that it rescales with each grid point
+        free = {k: v for k, v in merged.items() if k != "epsilon_acc"}
+        emeans = [run_point(dict(free, epsilon=e), "epsilon", e) for e in eps_grid]
         if len(eps_grid) >= 2:
             slope, intercept, r2 = _fit_line([1.0 / e for e in eps_grid], emeans)
             lines.append(
@@ -404,34 +406,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     echo["mode"] = mode
     _echo_config(out_dir, echo)
 
-    if problems:
-        code = EXIT_INVARIANT
-    elif not converged:
-        code = EXIT_SOLVER
-    else:
-        code = EXIT_OK
-    lines.extend(["invariants: " + ("PASS" if not problems else "FAIL")])
+    lines.append("invariants: " + ("PASS" if not problems else "FAIL"))
     lines.extend(f"  {p}" for p in problems)
-    lines.append(f"exit code: {code}")
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return code
+    return _finish(out_dir, lines, problems, converged)
 
 
-_REFINE_KEYS = {
-    "input": str,
-    "k": int,
-    "tol": float,
-    "max_iters": int,
-    "c": int,
-    "trim": bool,
-    "eps_acc": float,
-    "dump": str,
-}
-
-
-def _cmd_refine(args: argparse.Namespace) -> int:
-    merged = _resolve(args, {**_REFINE_KEYS, **{"output_dir": str}})
+def _cmd_refine(merged: dict) -> int:
     _require(merged, "input", "k")
     out_dir = _output_dir(merged)
     try:
@@ -462,7 +442,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         k,
         eps_acc=merged.get("eps_acc", 1.0),
         c=merged.get("c", 2),
-        tol=merged.get("tol", 1e-4),
+        tol=merged.get("tol", DEFAULT_TOL),
         max_iters=merged.get("max_iters"),
         trim=merged.get("trim", True),
         full_output=True,
@@ -487,23 +467,10 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         f"basis_file={basis_path}",
     ]
     print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK if sol.converged else EXIT_SOLVER
 
 
-_LB_KEYS = {
-    "k": int,
-    "eps": float,
-    "eps_vector": str,
-    "eps_target": float,
-    "n_random": int,
-    "trials": int,
-    "subset": str,
-    "seed": int,
-}
-
-
-def _cmd_lowerbound(args: argparse.Namespace) -> int:
-    merged = _resolve(args, {**_LB_KEYS, **{"output_dir": str}})
+def _cmd_lowerbound(merged: dict) -> int:
     _require(merged, "k")
     k = merged["k"]
     out_dir = _output_dir(merged)
@@ -576,9 +543,20 @@ def _cmd_lowerbound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("-o", "--output-dir", dest="output_dir", help="artifact directory")
+def _add_keys(sub: argparse.ArgumentParser, keys: dict, choices: dict) -> None:
+    """One --flag per key of a table; a bool key becomes --no-<key>."""
+    for key, typ in keys.items():
+        flag = key.replace("_", "-")
+        if typ is bool:
+            sub.add_argument(f"--no-{flag}", dest=key, action="store_false", default=None)
+        else:
+            sub.add_argument(
+                f"--{flag}",
+                dest=key,
+                type=typ,
+                choices=choices.get(key),
+                help=_HELP.get(key),
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -587,75 +565,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lifelong learning of linear representations: simulator and analysis tools",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="run lifelong-learning trials")
-    _add_common(sim)
-    sim.add_argument("--d", type=int)
-    sim.add_argument("--k", type=int)
-    sim.add_argument("--m", type=int)
-    sim.add_argument("--N", type=int)
-    sim.add_argument("--epsilon", type=float)
-    sim.add_argument("--epsilon-acc", dest="epsilon_acc", type=float)
-    sim.add_argument("--acc-constant", dest="acc_constant", type=float)
-    sim.add_argument("--c-s", dest="c_s", type=float)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--trials", type=int)
-    sim.add_argument("--mode", choices=MODES + ("all",))
-    sim.add_argument("--check-mode", dest="check_mode", choices=("oracle", "montecarlo"))
-    sim.add_argument(
-        "--refine-every", dest="refine_every", choices=("on_new_feature", "threshold")
+    commands = (
+        ("simulate", "run lifelong-learning trials", _cmd_simulate, _SIMULATE_KEYS),
+        ("sweep", "sample-complexity scaling sweeps", _cmd_sweep, _SWEEP_KEYS),
+        ("refine", "run the refinement solver on a feature file", _cmd_refine, _REFINE_KEYS),
+        ("lowerbound", "adversarial lower-bound harness", _cmd_lowerbound, _LB_KEYS),
     )
-    sim.add_argument("--r-max", dest="r_max", type=int)
-    sim.add_argument("--sdp-tol", dest="sdp_tol", type=float)
-    sim.add_argument("--sdp-max-iters", dest="sdp_max_iters", type=int)
-    sim.add_argument("--jobs", type=int)
-    sim.set_defaults(func=_cmd_simulate, parser=sim)
-
-    sw = subs.add_parser("sweep", help="sample-complexity scaling sweeps")
-    _add_common(sw)
-    sw.add_argument("--d-grid", dest="d_grid", help="comma-separated dimensions")
-    sw.add_argument(
-        "--epsilon-grid", dest="epsilon_grid", help="comma-separated accuracies"
-    )
-    sw.add_argument("--d", type=int)
-    sw.add_argument("--k", type=int)
-    sw.add_argument("--m", type=int)
-    sw.add_argument("--N", type=int)
-    sw.add_argument("--epsilon", type=float)
-    sw.add_argument("--seed", type=int)
-    sw.add_argument("--trials", type=int)
-    sw.add_argument("--mode", choices=MODES)
-    sw.add_argument("--acc-constant", dest="acc_constant", type=float)
-    sw.add_argument("--c-s", dest="c_s", type=float)
-    sw.add_argument("--jobs", type=int)
-    sw.set_defaults(func=_cmd_sweep, parser=sw)
-
-    rf = subs.add_parser("refine", help="run the refinement solver on a feature file")
-    _add_common(rf)
-    rf.add_argument("--input", help="one whitespace-separated vector per line")
-    rf.add_argument("--k", type=int)
-    rf.add_argument("--tol", type=float)
-    rf.add_argument("--max-iters", dest="max_iters", type=int)
-    rf.add_argument("--c", type=int)
-    rf.add_argument("--no-trim", dest="trim", action="store_false", default=None)
-    rf.add_argument("--eps-acc", dest="eps_acc", type=float)
-    rf.add_argument("--dump", help="write a solver state dump to this file")
-    rf.set_defaults(func=_cmd_refine, parser=rf)
-
-    lb = subs.add_parser("lowerbound", help="adversarial lower-bound harness")
-    _add_common(lb)
-    lb.add_argument("--k", type=int)
-    lb.add_argument("--eps", type=float, help="equal per-coordinate accuracy")
-    lb.add_argument(
-        "--eps-vector", dest="eps_vector", help="comma-separated per-coordinate accuracies"
-    )
-    lb.add_argument("--eps-target", dest="eps_target", type=float)
-    lb.add_argument("--n-random", dest="n_random", type=int)
-    lb.add_argument("--trials", type=int)
-    lb.add_argument("--subset", help="comma-separated coordinate subset")
-    lb.add_argument("--seed", type=int)
-    lb.set_defaults(func=_cmd_lowerbound, parser=lb)
-
+    for name, help_text, func, keys in commands:
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="flat key=value config file")
+        sub.add_argument(
+            "-o", "--output-dir", dest="output_dir", help="artifact directory"
+        )
+        choices = _CHOICES
+        if name == "simulate":
+            choices = {**_CHOICES, "mode": MODES + ("all",)}
+        _add_keys(sub, keys, choices)
+        sub.set_defaults(func=func, keys=keys, parser=sub)
     return parser
 
 
@@ -663,10 +589,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args, args.keys))
     except MissingKeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        getattr(args, "parser", parser).print_usage(sys.stderr)
+        args.parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

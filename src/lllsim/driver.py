@@ -174,10 +174,6 @@ class RunReport:
             )
 
     @property
-    def samples_per_phase(self) -> tuple:
-        return (self.samples_representation, self.samples_combination)
-
-    @property
     def m(self) -> int:
         return self.per_task_error.shape[0]
 
@@ -240,9 +236,8 @@ def _resolve_problem(config: RunConfig, problem: GroundTruth | None) -> GroundTr
     return problem
 
 
-def _run_lll(
-    config: RunConfig, with_refinement: bool, problem: GroundTruth | None
-) -> RunReport:
+def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
+    """basic and rr: grow features on demand; rr also refines and migrates."""
     t0 = time.perf_counter()
     gt = _resolve_problem(config, problem)
     m = config.m
@@ -301,7 +296,7 @@ def _run_lll(
             err[t] = task_error_exact(ledger.embed(t), t, gt)
             events.append(t)
 
-            if with_refinement and _should_refine(config, ledger.active_dim):
+            if config.mode == "rr" and _should_refine(config, ledger.active_dim):
                 V_new, _cert, sol = refine(
                     ledger.raw_features,
                     config.k,
@@ -361,30 +356,12 @@ def _run_lll(
     )
 
 
-def run_basic_lll(
-    config: RunConfig, problem: GroundTruth | None = None
-) -> RunReport:
-    """Grow the feature list on demand; never refine."""
-    if config.mode != "basic":
-        raise ValueError(f"config.mode must be 'basic', got {config.mode!r}")
-    return _run_lll(config, with_refinement=False, problem=problem)
-
-
-def run_lll_rr(config: RunConfig, problem: GroundTruth | None = None) -> RunReport:
-    """Basic loop plus representation refinement and classifier migration."""
-    if config.mode != "rr":
-        raise ValueError(f"config.mode must be 'rr', got {config.mode!r}")
-    return _run_lll(config, with_refinement=True, problem=problem)
-
-
-def run_joint(config: RunConfig, problem: GroundTruth | None = None) -> RunReport:
+def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     """Offline baseline: estimate every task direction from N pooled samples,
     keep the best rank-k subspace of the stacked estimates, refit inside it.
 
     Curves are per-prefix so they are comparable to the sequential modes.
     """
-    if config.mode != "joint":
-        raise ValueError(f"config.mode must be 'joint', got {config.mode!r}")
     if config.N < 1:
         raise ValueError("joint mode needs N >= 1 samples per task")
     t0 = time.perf_counter()
@@ -448,12 +425,15 @@ def run_joint(config: RunConfig, problem: GroundTruth | None = None) -> RunRepor
 
 
 def run_one(config: RunConfig, problem: GroundTruth | None = None) -> RunReport:
-    """Dispatch a single run by config.mode."""
-    if config.mode == "basic":
-        return run_basic_lll(config, problem=problem)
-    if config.mode == "rr":
-        return run_lll_rr(config, problem=problem)
-    return run_joint(config, problem=problem)
+    """One run of config.mode on `problem`, or on the problem config.seed plants.
+
+    basic grows the feature list on demand and never refines; rr adds
+    representation refinement and classifier migration; joint is the
+    offline baseline.
+    """
+    if config.mode == "joint":
+        return _run_joint(config, problem)
+    return _run_lll(config, problem)
 
 
 def trial_configs(config: RunConfig) -> list:

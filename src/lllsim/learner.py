@@ -39,26 +39,6 @@ def budget(dim: int, eps_target: float, c_s: float = C_S_DEFAULT) -> int:
 
 
 @dataclass(frozen=True)
-class LearnerBudget:
-    samples_allowed: int
-    epsilon_target: float
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon_target < 0.5):
-            raise ValueError("epsilon_target must be in (0, 1/2)")
-        if self.samples_allowed < 1:
-            raise ValueError("samples_allowed must be >= 1")
-
-    @classmethod
-    def for_dimension(
-        cls, dim: int, eps_target: float, c_s: float = C_S_DEFAULT
-    ) -> "LearnerBudget":
-        return cls(
-            samples_allowed=budget(dim, eps_target, c_s), epsilon_target=eps_target
-        )
-
-
-@dataclass(frozen=True)
 class Hypothesis:
     """A unit direction plus the sample count it cost to produce."""
 

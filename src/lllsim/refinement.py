@@ -235,6 +235,21 @@ def round_sdp(sol: SdpSolution, k: int, c: int = 2, trim: bool = True) -> Subspa
     return Subspace(basis=vecs[:, :dims])
 
 
+def _round_and_certify(
+    A: np.ndarray, sol: SdpSolution, k: int, c: int, trim: bool, tol: float
+) -> tuple:
+    """Round the SDP solution and certify the rounded span against A's rows."""
+    V = round_sdp(sol, k, c=c, trim=trim)
+    B = V.basis
+    resid = A.T - B @ (B.T @ A.T)
+    cert = RefinementCertificate(
+        max_distance=float(np.linalg.norm(resid, axis=0).max()),
+        dims=V.dim,
+        approx_bound=math.sqrt(2.0 * max(sol.t, 0.0)) * (1.0 + tol),
+    )
+    return V, cert
+
+
 def refine(
     W,
     k: int,
@@ -258,15 +273,7 @@ def refine(
     rank = orthonormalize(list(A)).dim
     k_eff = min(k, rank)
     sol = solve_refinement_sdp(list(A), k_eff, max_iters=max_iters, tol=tol)
-    V = round_sdp(sol, k_eff, c=c, trim=trim)
-    B = V.basis
-    resid = A.T - B @ (B.T @ A.T)
-    max_distance = float(np.linalg.norm(resid, axis=0).max())
-    cert = RefinementCertificate(
-        max_distance=max_distance,
-        dims=V.dim,
-        approx_bound=math.sqrt(2.0 * max(sol.t, 0.0)) * (1.0 + tol),
-    )
+    V, cert = _round_and_certify(A, sol, k_eff, c, trim, tol)
     if full_output:
         return V, cert, sol
     return V, cert
@@ -294,14 +301,7 @@ def refine_auto(
     for k in range(1, top + 1):
         sol = solve_refinement_sdp(list(A), k, max_iters=max_iters, tol=tol)
         if sol.t <= eps_acc * eps_acc or k == top:
-            V = round_sdp(sol, k, c=c, trim=trim)
-            B = V.basis
-            resid = A.T - B @ (B.T @ A.T)
-            cert = RefinementCertificate(
-                max_distance=float(np.linalg.norm(resid, axis=0).max()),
-                dims=V.dim,
-                approx_bound=math.sqrt(2.0 * max(sol.t, 0.0)) * (1.0 + tol),
-            )
+            V, cert = _round_and_certify(A, sol, k, c, trim, tol)
             return V, cert, k
     raise AssertionError("unreachable")
 

@@ -21,7 +21,6 @@ _MC_CHUNK = 1 << 18
 NS_PROBLEM = 0
 NS_BATCH = 1
 NS_MC = 2
-NS_JOINT = 3
 
 
 def rng_substream(seed: int, *path: int) -> np.random.Generator:
@@ -55,28 +54,15 @@ class GroundTruth:
             raise ValueError("task vectors must be unit norm")
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    x: np.ndarray
-    y: int  # +1 or -1
-
-
 @dataclass
 class SampleBatch:
-    """A batch of labeled samples, stored as arrays, iterable as samples."""
+    """A batch of labeled samples, stored as arrays."""
 
     x: np.ndarray  # (n, d)
     y: np.ndarray  # (n,) of +/-1
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledSample:
-        return LabeledSample(x=self.x[i], y=int(self.y[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass

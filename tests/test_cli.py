@@ -7,6 +7,7 @@ and artifact bytes are all observable without spawning subprocesses.
 import csv
 import math
 import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -285,6 +286,20 @@ def test_sweep_resolved_config_roundtrip(tmp_path):
     assert (first / "sweep.csv").read_bytes() == (second / "sweep.csv").read_bytes()
 
 
+def test_sweep_takes_run_keys_as_flags(tmp_path):
+    out = tmp_path / "out"
+    rc = run_cli(
+        "sweep", "--d-grid", "30,40", "--k", 2, "--m", 10, "--sdp-tol", "1e-3",
+        "--check-mode", "montecarlo", "--seed", 1, "-o", out,
+    )
+    assert rc == 0
+    resolved = dict(
+        line.split("=", 1) for line in (out / "config.resolved").read_text().splitlines()
+    )
+    assert resolved["sdp_tol"] == "0.001"
+    assert resolved["check_mode"] == "montecarlo"
+
+
 # ------------------------------------------------------------------ refine
 
 
@@ -365,6 +380,18 @@ def test_refine_dump_writes_solver_state(tmp_path):
     assert "weights " in dump
 
 
+def test_refine_nonconvergence_exit_4(tmp_path, capsys):
+    W = np.random.default_rng(0).standard_normal((20, 10))
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    feats = tmp_path / "feats.txt"
+    np.savetxt(feats, W)
+    rc = run_cli(
+        "refine", "--input", feats, "--k", 3, "--max-iters", 50, "-o", tmp_path / "out"
+    )
+    assert rc == 4
+    assert "converged=no" in capsys.readouterr().out
+
+
 # -------------------------------------------------------------- lowerbound
 
 
@@ -412,3 +439,80 @@ def test_lowerbound_requires_k(tmp_path, capsys):
     rc = run_cli("lowerbound", "--eps", "0.1", "-o", tmp_path / "x")
     assert rc == 2
     assert "missing required key(s): k" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------- flags
+
+# Every field set to a non-None value of its own type.
+_FULL_CONFIG = RunConfig(d=4, k=2, m=3, epsilon_acc=0.05, r_max=3, sdp_max_iters=7)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+def test_every_run_field_is_a_typed_flag(command, field):
+    value = getattr(_FULL_CONFIG, field)
+    flag = "--" + field.replace("_", "-")
+    args = cli.build_parser().parse_args([command, flag, str(value)])
+    parsed = getattr(args, field)
+    assert parsed == value
+    assert type(parsed) is type(value)
+
+
+_COMMON_FLAGS = (("--config", "config"), ("-o", "output_dir"), ("--output-dir", "output_dir"))
+# The flags each subcommand accepted before flags were derived from key tables.
+_LEGACY_FLAGS = {
+    "simulate": (
+        ("--d", "d"), ("--k", "k"), ("--m", "m"), ("--N", "N"),
+        ("--epsilon", "epsilon"), ("--epsilon-acc", "epsilon_acc"),
+        ("--acc-constant", "acc_constant"), ("--c-s", "c_s"), ("--seed", "seed"),
+        ("--trials", "trials"), ("--mode", "mode"), ("--check-mode", "check_mode"),
+        ("--refine-every", "refine_every"), ("--r-max", "r_max"),
+        ("--sdp-tol", "sdp_tol"), ("--sdp-max-iters", "sdp_max_iters"),
+        ("--jobs", "jobs"),
+    ),
+    "sweep": (
+        ("--d-grid", "d_grid"), ("--epsilon-grid", "epsilon_grid"), ("--d", "d"),
+        ("--k", "k"), ("--m", "m"), ("--N", "N"), ("--epsilon", "epsilon"),
+        ("--seed", "seed"), ("--trials", "trials"), ("--mode", "mode"),
+        ("--acc-constant", "acc_constant"), ("--c-s", "c_s"), ("--jobs", "jobs"),
+    ),
+    "refine": (
+        ("--input", "input"), ("--k", "k"), ("--tol", "tol"),
+        ("--max-iters", "max_iters"), ("--c", "c"), ("--no-trim", "trim"),
+        ("--eps-acc", "eps_acc"), ("--dump", "dump"),
+    ),
+    "lowerbound": (
+        ("--k", "k"), ("--eps", "eps"), ("--eps-vector", "eps_vector"),
+        ("--eps-target", "eps_target"), ("--n-random", "n_random"),
+        ("--trials", "trials"), ("--subset", "subset"), ("--seed", "seed"),
+    ),
+}
+_FLAG_VALUES = {"--mode": "rr", "--check-mode": "montecarlo", "--refine-every": "threshold"}
+
+
+@pytest.mark.parametrize(
+    "command,flag,dest",
+    [
+        (command, flag, dest)
+        for command, flags in _LEGACY_FLAGS.items()
+        for flag, dest in _COMMON_FLAGS + flags
+    ],
+)
+def test_legacy_flag_keeps_its_dest(command, flag, dest):
+    argv = [command, flag]
+    if flag != "--no-trim":
+        argv.append(_FLAG_VALUES.get(flag, "3"))
+    args = cli.build_parser().parse_args(argv)
+    assert getattr(args, dest) is not None
+
+
+def test_only_sweep_gains_flags():
+    added = {
+        "--epsilon-acc", "--check-mode", "--refine-every", "--r-max", "--sdp-tol",
+        "--sdp-max-iters",
+    }
+    for command, flags in _LEGACY_FLAGS.items():
+        sub = cli.build_parser().parse_args([command]).parser
+        accepted = set(sub._option_string_actions) - {"-h", "--help"}
+        legacy = {flag for flag, _ in _COMMON_FLAGS + flags}
+        assert accepted == legacy | (added if command == "sweep" else set())

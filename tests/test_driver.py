@@ -9,9 +9,6 @@ from lllsim.driver import (
     RunConfig,
     evaluate_report,
     report_rows,
-    run_basic_lll,
-    run_joint,
-    run_lll_rr,
     run_one,
     run_trials,
     summary_columns,
@@ -104,8 +101,8 @@ def test_rank_one_problem_basic():
 
 def test_rank_one_problem_rr_matches_basic():
     kw = dict(d=20, k=1, m=12, seed=3)
-    rb = run_basic_lll(RunConfig(mode="basic", **kw))
-    rr = run_lll_rr(RunConfig(mode="rr", **kw))
+    rb = run_one(RunConfig(mode="basic", **kw))
+    rr = run_one(RunConfig(mode="rr", **kw))
     # refining a single feature to target 1 returns its own span
     assert rr.refinement_count == 1
     assert rr.refinement_converged
@@ -196,7 +193,7 @@ def test_threshold_refinement_is_lazier():
 
 def test_joint_prefix_dims_and_recovery():
     cfg = RunConfig(d=30, k=3, m=20, N=4000, seed=0, mode="joint")
-    r = run_joint(cfg)
+    r = run_one(cfg)
     expect_dims = [min(3, t + 1) for t in range(20)]
     assert list(r.feature_dim_curve) == expect_dims
     assert r.new_feature_events == ()
@@ -212,7 +209,7 @@ def test_joint_prefix_dims_and_recovery():
 def test_joint_requires_samples():
     cfg = RunConfig(d=10, k=2, m=5, N=0, mode="joint")
     with pytest.raises(ValueError):
-        run_joint(cfg)
+        run_one(cfg)
 
 
 def test_angle_is_right_angle_until_dims_match():
@@ -223,16 +220,6 @@ def test_angle_is_right_angle_until_dims_match():
     assert r.angle_curve[0] == pytest.approx(math.pi / 2)
     assert r.feature_dim_curve[-1] == 2
     assert r.angle_curve[-1] < math.pi / 2
-
-
-def test_mode_guards():
-    cfg = RunConfig(d=10, k=2, m=5, mode="rr")
-    with pytest.raises(ValueError):
-        run_basic_lll(cfg)
-    with pytest.raises(ValueError):
-        run_joint(cfg)
-    with pytest.raises(ValueError):
-        run_lll_rr(RunConfig(d=10, k=2, m=5, mode="basic"))
 
 
 def test_trial_configs_seed_spacing():

@@ -7,7 +7,6 @@ from lllsim.geometry import orthonormalize
 from lllsim.learner import (
     C_S_DEFAULT,
     Hypothesis,
-    LearnerBudget,
     adversarial_learn,
     budget,
     check_hypothesis,
@@ -57,14 +56,6 @@ def test_budget_validates():
         budget(0, 0.1)
     with pytest.raises(ValueError):
         budget(10, 0.1, c_s=0.0)
-
-
-def test_learner_budget_type():
-    b = LearnerBudget.for_dimension(100, 0.1, c_s=1.0)
-    assert b.samples_allowed == 2303
-    assert b.epsilon_target == 0.1
-    with pytest.raises(ValueError):
-        LearnerBudget(samples_allowed=10, epsilon_target=0.7)
 
 
 def test_estimate_direction_noiseless_target():

@@ -5,7 +5,6 @@ import pytest
 
 from lllsim.synthetic import (
     GroundTruth,
-    LabeledSample,
     TaskStream,
     disagreement_exact,
     disagreement_mc,
@@ -138,18 +137,6 @@ def test_sample_batch_deterministic_and_advancing():
     # other tasks draw from distinct substreams
     b4 = sample_batch(s2, task=0, n=50)
     assert not np.array_equal(b2.x, b4.x)
-
-
-def test_sample_batch_iterates_labeled_samples():
-    gt = generate_problem(d=4, k=2, m=2, seed=8)
-    stream = TaskStream(ground_truth=gt, order=(0, 1), rng_seed=8)
-    batch = sample_batch(stream, task=0, n=7)
-    samples = list(batch)
-    assert len(samples) == 7
-    assert all(isinstance(s, LabeledSample) for s in samples)
-    assert np.array_equal(samples[3].x, batch.x[3])
-    assert samples[3].y == batch.y[3]
-    assert batch[3].y == batch.y[3]
 
 
 def test_task_stream_validates_order():
