@@ -18,6 +18,7 @@ and the true task span.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -448,12 +449,23 @@ def trial_configs(config: RunConfig) -> list:
     ]
 
 
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_trials(config: RunConfig, jobs: int = 1) -> list:
-    """Run config.trials independent trials, optionally across processes."""
+    """Run config.trials independent trials, optionally across processes.
+
+    At most min(jobs, trials, available cores) worker processes run; with
+    one worker the trials run serially in this process.
+    """
     cfgs = trial_configs(config)
-    if jobs <= 1 or len(cfgs) == 1:
+    workers = min(jobs, len(cfgs), _available_cores())
+    if workers <= 1:
         return [run_one(c) for c in cfgs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, cfgs))
 
 

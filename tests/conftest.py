@@ -1,0 +1,19 @@
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def near_planted_rows():
+    """Function of `seed` giving 8 unit rows near a random 3-dim subspace of R^10.
+
+    Each row is a Gaussian combination of a rank-3 orthonormal basis plus
+    N(0, 0.01^2) noise per coordinate, normalized.
+    """
+
+    def build(seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        B = np.linalg.qr(rng.standard_normal((10, 3)))[0]
+        W = rng.standard_normal((8, 3)) @ B.T + 0.01 * rng.standard_normal((8, 10))
+        return W / np.linalg.norm(W, axis=1)[:, None]
+
+    return build

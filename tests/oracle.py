@@ -1,0 +1,167 @@
+"""Brute-force oracle for the subspace-fitting problem at tiny scale.
+
+`brute_force_refine` searches a deterministic grid of candidate subspaces
+(d <= 4, target dimension <= 2) for the one whose largest feature distance
+is smallest. The refinement tests compare the SDP solver against it.
+"""
+
+import math
+
+import numpy as np
+
+from lllsim.geometry import Subspace, orthonormalize
+from lllsim.refinement import _complete_basis, _feature_matrix, _fix_signs
+
+
+def _sphere_grid(d: int, grid: int) -> np.ndarray:
+    """Deterministic near-uniform unit vectors in R^d (d <= 4)."""
+    if d == 1:
+        return np.array([[1.0]])
+    if d == 2:
+        theta = np.pi * np.arange(grid * grid) / (grid * grid)
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    if d == 3:
+        return _fibonacci_sphere(grid * grid)
+    # d == 4: hyperspherical angle lattice
+    t1 = np.pi * (np.arange(grid) + 0.5) / grid
+    t2 = np.pi * (np.arange(grid) + 0.5) / grid
+    t3 = np.pi * np.arange(grid) / grid  # hemisphere: antipodes are the same line
+    T1, T2, T3 = np.meshgrid(t1, t2, t3, indexing="ij")
+    s1, s2 = np.sin(T1), np.sin(T2)
+    pts = np.column_stack(
+        [
+            np.cos(T1).ravel(),
+            (s1 * np.cos(T2)).ravel(),
+            (s1 * s2 * np.cos(T3)).ravel(),
+            (s1 * s2 * np.sin(T3)).ravel(),
+        ]
+    )
+    return pts
+
+
+def _fibonacci_sphere(n: int) -> np.ndarray:
+    i = np.arange(n) + 0.5
+    phi = np.arccos(1.0 - 2.0 * i / n)
+    theta = np.pi * (1.0 + math.sqrt(5.0)) * i
+    return np.column_stack(
+        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
+    )
+
+
+def _best_line(A: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, float]:
+    best_val = np.inf
+    best_v = cand[0]
+    for s in range(0, cand.shape[0], 500_000):
+        chunk = cand[s : s + 500_000]
+        val = np.max(1.0 - (chunk @ A.T) ** 2, axis=1)
+        j = int(np.argmin(val))
+        if val[j] < best_val:
+            best_val = float(val[j])
+            best_v = chunk[j]
+    return best_v, math.sqrt(max(best_val, 0.0))
+
+
+# antisymmetric basis pairs for the plane parametrization in R^4: a 2-plane
+# is -omega^2 for omega = sum x+_i S_i + sum x-_i A_i with unit x+, x-
+def _wedge_bases() -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def E(i, j):
+        M = np.zeros((4, 4))
+        M[i, j], M[j, i] = 1.0, -1.0
+        return M
+
+    S = [(E(0, 1) + E(2, 3)) / 2, (E(0, 2) - E(1, 3)) / 2, (E(0, 3) + E(1, 2)) / 2]
+    A = [(E(0, 1) - E(2, 3)) / 2, (E(0, 2) + E(1, 3)) / 2, (E(0, 3) - E(1, 2)) / 2]
+    return S, A
+
+
+def _plane_from_spheres(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
+    S, A = _wedge_bases()
+    om = sum(xp[i] * S[i] for i in range(3)) + sum(xm[i] * A[i] for i in range(3))
+    P = -om @ om
+    if abs(np.trace(P) - 2.0) > 1e-9:  # parametrization sanity
+        raise AssertionError("plane parametrization broke")
+    return P
+
+
+def brute_force_refine(W, target_dim: int, grid: int = 400):
+    """Exhaustive grid oracle for the subspace-fitting problem at tiny scale.
+
+    Searches a deterministic grid (plus the inputs themselves and their
+    pairwise spans, so exactly realizable optima come out exact) and
+    returns (subspace, max_distance). Only d <= 4 and target_dim <= 2.
+    """
+    A = _feature_matrix(W)
+    n, d = A.shape
+    if d > 4:
+        raise ValueError("brute force supports d <= 4 only")
+    if target_dim not in (1, 2):
+        raise ValueError("brute force supports target_dim in {1, 2} only")
+    if target_dim > d:
+        raise ValueError("target_dim exceeds the ambient dimension")
+    if grid < 2:
+        raise ValueError("grid too small")
+
+    if target_dim == d:
+        return Subspace(basis=np.eye(d)), 0.0
+
+    if target_dim == 1:
+        # the R^4 line lattice has grid^3 candidates; cap to bound memory
+        eff = min(grid, 150) if d == 4 else grid
+        cand = np.vstack([_sphere_grid(d, eff), A])
+        v, dist = _best_line(A, cand)
+        return Subspace(basis=v.reshape(-1, 1)), dist
+
+    if d == 3:
+        # planes in R^3 are complements of their normals
+        normals = _sphere_grid(3, grid)
+        extra = [
+            np.cross(A[i], A[j]) for i in range(n) for j in range(i + 1, n)
+        ]
+        extra = [e / np.linalg.norm(e) for e in extra if np.linalg.norm(e) > 1e-12]
+        if extra:
+            normals = np.vstack([normals, extra])
+        best_val = np.inf
+        best_n = normals[0]
+        for s in range(0, normals.shape[0], 500_000):
+            chunk = normals[s : s + 500_000]
+            val = np.max(np.abs(chunk @ A.T), axis=1)
+            j = int(np.argmin(val))
+            if val[j] < best_val:
+                best_val = float(val[j])
+                best_n = chunk[j]
+        basis = _complete_basis(best_n.reshape(-1, 1), 2)
+        return Subspace(basis=basis), best_val
+
+    # d == 4: double-sphere sweep over the Grassmannian of 2-planes
+    S, Abasis = _wedge_bases()
+    sphere = _fibonacci_sphere(grid)
+    SW = np.stack([s @ A.T for s in S])  # (3, 4, n)
+    AW = np.stack([a @ A.T for a in Abasis])
+    U = np.einsum("pi,iaj->paj", sphere, SW)  # (N, 4, n)
+    V = np.einsum("qi,iaj->qaj", sphere, AW)
+    un = np.einsum("paj,paj->pj", U, U)
+    vn = np.einsum("qaj,qaj->qj", V, V)
+    best_val = np.inf
+    best_pair = (sphere[0], sphere[0])
+    for p in range(sphere.shape[0]):
+        cross = 2.0 * np.einsum("aj,qaj->qj", U[p], V)
+        val = np.max(1.0 - (un[p][None, :] + vn + cross), axis=1)
+        q = int(np.argmin(val))
+        if val[q] < best_val:
+            best_val = float(val[q])
+            best_pair = (sphere[p], sphere[q])
+    # exact pairwise spans as extra candidates
+    best_P = _plane_from_spheres(*best_pair)
+    for i in range(n):
+        for j in range(i + 1, n):
+            span = orthonormalize([A[i], A[j]])
+            if span.dim < 2:
+                continue
+            B = span.basis
+            val = float(np.max(1.0 - np.einsum("ij,ij->j", B.T @ A.T, B.T @ A.T)))
+            if val < best_val:
+                best_val = val
+                best_P = B @ B.T
+    vals, vecs = np.linalg.eigh(best_P)
+    basis = _fix_signs(vecs[:, -2:])
+    return Subspace(basis=basis), math.sqrt(max(best_val, 0.0))

@@ -392,6 +392,14 @@ def test_refine_nonconvergence_exit_4(tmp_path, capsys):
     assert "converged=no" in capsys.readouterr().out
 
 
+def test_refine_near_planted_converges_exit_0(tmp_path, capsys, near_planted_rows):
+    feats = tmp_path / "feats.txt"
+    np.savetxt(feats, near_planted_rows(1))
+    rc = run_cli("refine", "--input", feats, "--k", 3, "-o", tmp_path / "out")
+    assert rc == 0
+    assert "converged=yes" in capsys.readouterr().out
+
+
 # -------------------------------------------------------------- lowerbound
 
 

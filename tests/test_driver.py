@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from lllsim import driver
 from lllsim.driver import (
     REPORT_COLUMNS,
     RunConfig,
@@ -239,6 +240,39 @@ def test_run_trials_parallel_matches_serial():
         assert a.samples_total == b.samples_total
         assert np.array_equal(a.angle_curve, b.angle_curve)
         assert np.array_equal(a.per_task_error, b.per_task_error)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, made: list, max_workers: int):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, trials, cores, workers",
+    [(4, 10, 2, 2), (8, 3, 16, 3), (2, 5, 8, 2), (4, 1, 8, None), (4, 6, 1, None)],
+)
+def test_run_trials_caps_workers(monkeypatch, jobs, trials, cores, workers):
+    # workers = min(jobs, trials, cores); one worker means no pool at all
+    made = []
+    monkeypatch.setattr(
+        driver, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers)
+    )
+    monkeypatch.setattr(driver, "_available_cores", lambda: cores)
+    monkeypatch.setattr(driver, "run_one", lambda cfg: cfg.seed)
+    seeds = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=trials), jobs=jobs)
+    assert seeds == list(range(5, 5 + trials))
+    assert made == ([] if workers is None else [workers])
 
 
 def test_evaluate_report_single():

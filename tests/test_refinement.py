@@ -5,15 +5,17 @@ import pytest
 
 from lllsim.geometry import dist_to_subspace, orthonormalize, principal_angles
 from lllsim.refinement import (
+    DEFAULT_TOL,
     RefinementCertificate,
     SdpSolution,
-    brute_force_refine,
+    _mixability_gap,
     dump_solution,
     refine,
     refine_auto,
     round_sdp,
     solve_refinement_sdp,
 )
+from oracle import brute_force_refine
 
 E = np.eye(5)
 
@@ -63,6 +65,57 @@ def test_solver_three_axes_symmetric_value():
     assert sol.iterations <= 50
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solver_near_planted_reaches_default_tol(seed, near_planted_rows):
+    # a rank-3 span plus small noise is PCA with a perturbation: the default
+    # budget must reach the default tolerance, and quickly
+    sol = solve_refinement_sdp(near_planted_rows(seed), 3)
+    assert sol.converged
+    assert sol.iterations <= 100
+
+
+@pytest.mark.parametrize("d, k", [(3, 1), (3, 2), (5, 2), (7, 3), (10, 1), (10, 4)])
+def test_solver_coordinate_axes_known_optimum(d, k):
+    # t* = (d - k) / d: X = (d - k)/d * I is feasible at that value, and the
+    # uniform-weight dual, the sum of the d - k smallest eigenvalues of I / d,
+    # reaches it; the certified lower bound t - gap can never pass it
+    t_star = (d - k) / d
+    sol = solve_refinement_sdp(list(np.eye(d)), k=k)
+    assert sol.converged
+    assert sol.t == pytest.approx(t_star, abs=DEFAULT_TOL)
+    assert t_star - DEFAULT_TOL <= sol.t - sol.gap <= t_star + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solver_gaussian_instance_pinned_budget(seed):
+    # 100 unit Gaussian rows in R^30, k=3: the budget of 2000 sits below the
+    # ~6-8k iterations a fixed worst-case step sqrt(ln n / T) needs here
+    W = np.random.default_rng(seed).standard_normal((100, 30))
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    sol = solve_refinement_sdp(W, k=3, max_iters=2000, tol=5e-3)
+    assert sol.converged
+
+
+@pytest.mark.parametrize("eta", [1e-300, 1e-8, 1.0, 1e8, 1e300, math.inf])
+def test_mixability_gap_finite_and_nonnegative(eta):
+    p = np.array([0.5, 0.25, 0.25 - 1e-300, 1e-300, 0.0])
+    loss = np.array([0.2, 0.9, 0.0, 1.0, -5.0])  # the last entry is off p's support
+    gap = _mixability_gap(p, loss, eta)
+    assert math.isfinite(gap)
+    # the mix term lies between the support's smallest loss and p.loss
+    assert 0.0 <= gap <= float(p @ loss) - float(loss[p > 0.0].min())
+
+
+def test_mixability_gap_matches_definition():
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    loss = np.array([0.3, 0.7, 0.1, 0.9])
+    for eta in (0.5, 2.0, 10.0):
+        direct = float(p @ loss) + math.log(float(p @ np.exp(-eta * loss))) / eta
+        assert _mixability_gap(p, loss, eta) == pytest.approx(direct, rel=1e-12)
+    assert _mixability_gap(p, loss, math.inf) == pytest.approx(float(p @ loss) - 0.1)
+    assert _mixability_gap(p, np.full(4, 0.5), 3.0) == pytest.approx(0.0, abs=1e-15)
+
+
 def test_solver_feasibility_and_value_consistency():
     rng = np.random.default_rng(41)
     for trial in range(5):
@@ -85,6 +138,7 @@ def test_solver_feasibility_and_value_consistency():
 def test_solver_nonconvergence_flag():
     W = [np.eye(3)[0], np.eye(3)[1]]
     sol = solve_refinement_sdp(W, k=1, max_iters=1)
+    assert np.array_equal(sol.weights, [0.5, 0.5])  # step 1 is uniform
     assert not sol.converged
     assert sol.gap > 0.4
     assert sol.t == pytest.approx(1.0, abs=1e-12)
