@@ -455,17 +455,79 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
+# OpenBLAS thread-count setters, tried in this order (each has a matching
+# getter, "_get_" for "_set_"): numpy's own wheels export the scipy_openblas
+# names with the 64_ suffix of the 64-bit integer build.
+_OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _openblas_paths() -> list:
+    """Paths of the OpenBLAS libraries mapped into this process, if readable."""
+    try:
+        with open("/proc/self/maps") as fh:
+            lines = fh.readlines()
+    except OSError:  # no procfs, e.g. macOS
+        return []
+    paths = []
+    for line in lines:
+        fields = line.split(maxsplit=5)
+        if len(fields) == 6:
+            path = fields[5].strip()
+            if "openblas" in path.lower() and path not in paths:
+                paths.append(path)
+    return paths
+
+
+def _limit_blas_threads(threads: int) -> None:
+    """Cap every loaded OpenBLAS at `threads` threads in this process.
+
+    Only lowers the count, so a smaller OPENBLAS_NUM_THREADS still holds.
+    Does nothing when no OpenBLAS, or none of its thread setters, is found
+    (MKL, Accelerate): those keep their own thread count.
+    """
+    import ctypes  # only pool workers pay for the import
+
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapped file deleted since it was loaded
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is None or getter is None:
+                continue
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            if getter() > threads:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(threads)
+            break
+
+
 def run_trials(config: RunConfig, jobs: int = 1) -> list:
     """Run config.trials independent trials, optionally across processes.
 
-    At most min(jobs, trials, available cores) worker processes run; with
-    one worker the trials run serially in this process.
+    At most min(jobs, trials, available cores) forked worker processes run,
+    each with its share, cores // workers, of the BLAS threads (OpenBLAS
+    only); with one worker the trials run serially in this process.
     """
     cfgs = trial_configs(config)
-    workers = min(jobs, len(cfgs), _available_cores())
+    cores = _available_cores()
+    workers = min(jobs, len(cfgs), cores)
     if workers <= 1:
         return [run_one(c) for c in cfgs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_limit_blas_threads,
+        initargs=(cores // workers,),  # >= 1, since workers <= cores
+    ) as pool:
         return list(pool.map(run_one, cfgs))
 
 

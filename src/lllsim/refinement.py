@@ -107,6 +107,12 @@ def _complete_basis(Q: np.ndarray, extra: int) -> np.ndarray:
     return full[:, r : r + extra]
 
 
+def _weighted_dual(Wt: np.ndarray, p: np.ndarray, k: int) -> float:
+    """Dual value of weights p: the r - k smallest eigenvalues of M(p), summed."""
+    M = Wt.T @ (p[:, None] * Wt)
+    return float(np.linalg.eigvalsh(M)[: Wt.shape[1] - k].sum())
+
+
 def _mixability_gap(p: np.ndarray, loss: np.ndarray, eta: float) -> float:
     """Hedge's mixability gap p.loss + ln(p.exp(-eta loss)) / eta, eta in (0, inf].
 
@@ -130,9 +136,12 @@ def solve_refinement_sdp(
 
     The constraint weights follow Hedge with the AdaHedge rate (see the
     module docstring), so `max_iters` (default ceil(2000 ln n)) is only a
-    budget: it does not set the step size. Returns the best averaged iterate
-    with a certified duality gap; if the gap does not reach `tol` within
-    `max_iters` the solution is still feasible and `converged` is False.
+    budget: it does not set the step size. The dual bound is taken from
+    every iterate's weights and, every max_iters // 64 iterations, from the
+    averaged weights; the solver stops once the gap reaches `tol`. Returns
+    the best averaged iterate with a certified duality gap; if the gap does
+    not reach `tol` within `max_iters` the solution is still feasible and
+    `converged` is False.
     """
     A = _feature_matrix(W)
     n, d = A.shape
@@ -203,16 +212,18 @@ def solve_refinement_sdp(
             best_sum_X = sum_X.copy()
             best_count = it
         gap = best_primal - best_dual
+        if it % stride == 0:
+            # the averaged weights usually certify a much tighter dual value
+            best_dual = max(best_dual, _weighted_dual(Wt, sum_p / it, k))
+            gap = best_primal - best_dual
         if it % stride == 0 or gap <= tol:
             checkpoints.append((it, best_primal, best_dual, max(gap, 0.0)))
         if gap <= tol:
             break
         mix_gap += _mixability_gap(p, 1.0 - v, eta)
 
-    # the averaged weights usually certify a much tighter dual value
     p_bar = sum_p / done
-    M = Wt.T @ (p_bar[:, None] * Wt)
-    best_dual = max(best_dual, float(np.linalg.eigvalsh(M)[: r - k].sum()))
+    best_dual = max(best_dual, _weighted_dual(Wt, p_bar, k))
 
     Xr = best_sum_X / best_count
     Xr = 0.5 * (Xr + Xr.T)

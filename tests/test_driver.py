@@ -1,4 +1,7 @@
+import ctypes
+import ctypes.util
 import math
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -243,10 +246,10 @@ def test_run_trials_parallel_matches_serial():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its arguments, maps in-process."""
 
-    def __init__(self, made: list, max_workers: int):
-        made.append(max_workers)
+    def __init__(self, made: list, max_workers: int, initializer, initargs):
+        made.append((max_workers, initializer, initargs))
 
     def __enter__(self):
         return self
@@ -263,16 +266,94 @@ class _RecordingPool:
     [(4, 10, 2, 2), (8, 3, 16, 3), (2, 5, 8, 2), (4, 1, 8, None), (4, 6, 1, None)],
 )
 def test_run_trials_caps_workers(monkeypatch, jobs, trials, cores, workers):
-    # workers = min(jobs, trials, cores); one worker means no pool at all
+    # workers = min(jobs, trials, cores), each capped at cores // workers BLAS
+    # threads; one worker means no pool, and so no initializer, at all
     made = []
     monkeypatch.setattr(
-        driver, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers)
+        driver, "ProcessPoolExecutor", lambda **kw: _RecordingPool(made, **kw)
     )
     monkeypatch.setattr(driver, "_available_cores", lambda: cores)
     monkeypatch.setattr(driver, "run_one", lambda cfg: cfg.seed)
     seeds = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=trials), jobs=jobs)
     assert seeds == list(range(5, 5 + trials))
-    assert made == ([] if workers is None else [workers])
+    if workers is None:
+        assert made == []
+    else:
+        budget = max(1, cores // workers)
+        assert made == [(workers, driver._limit_blas_threads, (budget,))]
+
+
+_OPENBLAS_GET_THREADS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count, or None if no getter is found.
+
+    Reads /proc/self/maps on its own, so a broken lookup in the driver
+    cannot turn the thread-cap test into a skip.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            maps = fh.read()
+    except OSError:
+        return None
+    for path in sorted(set(re.findall(r"(/\S*openblas\S*)$", maps, re.M | re.I))):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_GET_THREADS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+def _worker_blas_threads(cfg):
+    return _blas_threads()
+
+
+def test_run_trials_workers_get_their_share_of_blas_threads(monkeypatch):
+    # a real forked pool: each worker reports the OpenBLAS threads it runs with
+    cores = driver._available_cores()
+    if cores < 2:
+        pytest.skip("one core: run_trials never starts a pool")
+    inherited = _blas_threads()
+    if inherited is None:
+        pytest.skip("no OpenBLAS get_num_threads symbol found")
+    # the cap only lowers: workers keep a smaller OPENBLAS_NUM_THREADS
+    expected = min(inherited, max(1, cores // 2))
+    monkeypatch.setattr(driver, "run_one", _worker_blas_threads)
+    threads = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=2), jobs=2)
+    assert threads == [expected] * 2
+
+
+def test_limit_blas_threads_never_raises_the_count():
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS get_num_threads symbol found")
+    driver._limit_blas_threads(before + 1)
+    assert _blas_threads() == before
+
+
+@pytest.mark.parametrize("library", ["none", "unloadable", "libc"])
+def test_limit_blas_threads_without_openblas_does_nothing(monkeypatch, library):
+    # no library found, one that cannot be loaded, or one that exports no
+    # thread setter: no call, no raise
+    paths = {"none": [], "unloadable": ["/nonexistent/libopenblas.so"]}.get(library)
+    if library == "libc":
+        libc = ctypes.util.find_library("c")
+        if libc is None:
+            pytest.skip("libc not found")
+        paths = [libc]
+    before = _blas_threads()
+    monkeypatch.setattr(driver, "_openblas_paths", lambda: paths)
+    driver._limit_blas_threads(1)
+    assert _blas_threads() == before
 
 
 def test_evaluate_report_single():
