@@ -253,14 +253,16 @@ def _mode_report_lines(cfg: RunConfig, reports, problems) -> list:
     return lines
 
 
-def _run_checked(cfg: RunConfig, jobs: int) -> tuple:
-    """(reports, invariant problems, all refinements converged) for one config."""
+def _run_all(cfgs: list, jobs: int) -> list:
+    """Every config's reports, config by config, from one run_trials pool."""
     try:
-        reports = run_trials(cfg, jobs=jobs)
+        return run_trials(cfgs, jobs=jobs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    converged = all(r.refinement_converged for r in reports)
-    return reports, _check_invariants(cfg, reports), converged
+
+
+def _converged(groups) -> bool:
+    return all(r.refinement_converged for reports in groups for r in reports)
 
 
 def _finish(out_dir: Path, lines: list, problems: list, converged: bool) -> int:
@@ -287,26 +289,27 @@ def _cmd_simulate(merged: dict) -> int:
     base = _base_config(merged, mode="basic")
     modes = MODES if mode_req == "all" else (mode_req,)
 
+    cfgs = [replace(base, mode=mode) for mode in modes]
+    groups = _run_all(cfgs, jobs)
     all_rows = []
     report_lines = []
     problems = []
-    converged = True
-    for mode in modes:
-        cfg = replace(base, mode=mode)
-        reports, mode_problems, mode_converged = _run_checked(cfg, jobs)
+    for cfg, reports in zip(cfgs, groups):
         for trial, rep in enumerate(reports):
             all_rows.extend(report_rows(rep, trial))
         table = evaluate_report(reports)
         _write_csv(
-            out_dir / f"summary_{mode}.csv", summary_columns(table), summary_rows(table)
+            out_dir / f"summary_{cfg.mode}.csv",
+            summary_columns(table),
+            summary_rows(table),
         )
+        mode_problems = _check_invariants(cfg, reports)
         problems.extend(mode_problems)
-        converged = converged and mode_converged
         report_lines.extend(_mode_report_lines(cfg, reports, mode_problems))
 
     _write_csv(out_dir / "runs.csv", REPORT_COLUMNS, all_rows)
     _echo_config(out_dir, _echoable(merged, base, mode_req))
-    return _finish(out_dir, report_lines, problems, converged)
+    return _finish(out_dir, report_lines, problems, _converged(groups))
 
 
 def _parse_grid(text: str, typ, name: str) -> list:
@@ -346,26 +349,27 @@ def _cmd_sweep(merged: dict) -> int:
     jobs = merged.get("jobs", 1)
     out_dir = _output_dir(merged)
 
+    # epsilon_acc is left out of the epsilon points so that it rescales with epsilon
+    points = [("d", d, dict(merged, d=d)) for d in d_grid]
+    free = {k: v for k, v in merged.items() if k != "epsilon_acc"}
+    points += [("epsilon", e, dict(free, epsilon=e)) for e in eps_grid]
+    cfgs = [_base_config(point, mode=mode) for _, _, point in points]
+    groups = _run_all(cfgs, jobs)
+
     rows = []
     lines = []
     problems = []
-    converged = True
-
-    def run_point(point: dict, axis: str, value) -> float:
-        nonlocal converged
-        cfg = _base_config(point, mode=mode)
-        reports, point_problems, point_converged = _run_checked(cfg, jobs)
-        problems.extend(point_problems)
-        converged = converged and point_converged
+    means = {"d": [], "epsilon": []}
+    for (axis, value, _), cfg, reports in zip(points, cfgs, groups):
+        problems.extend(_check_invariants(cfg, reports))
         totals = [r.samples_total for r in reports]
         mean = float(np.mean(totals))
+        means[axis].append(mean)
         rows.append([axis, value, cfg.trials, mean, float(np.std(totals))])
-        return mean
 
     if d_grid:
-        means = [run_point(dict(merged, d=d), "d", d) for d in d_grid]
         if len(d_grid) >= 2:
-            slope, intercept, r2 = _fit_line(d_grid, means)
+            slope, intercept, r2 = _fit_line(d_grid, means["d"])
             lines.append(
                 f"fit samples_total ~ slope*d + b: slope={slope:.2f} "
                 f"intercept={intercept:.1f} R2={r2:.6f}"
@@ -373,9 +377,7 @@ def _cmd_sweep(merged: dict) -> int:
         else:
             lines.append("d fit skipped (single grid point)")
     if eps_grid:
-        # epsilon_acc is left out so that it rescales with each grid point
-        free = {k: v for k, v in merged.items() if k != "epsilon_acc"}
-        emeans = [run_point(dict(free, epsilon=e), "epsilon", e) for e in eps_grid]
+        emeans = means["epsilon"]
         if len(eps_grid) >= 2:
             slope, intercept, r2 = _fit_line([1.0 / e for e in eps_grid], emeans)
             lines.append(
@@ -408,7 +410,7 @@ def _cmd_sweep(merged: dict) -> int:
 
     lines.append("invariants: " + ("PASS" if not problems else "FAIL"))
     lines.extend(f"  {p}" for p in problems)
-    return _finish(out_dir, lines, problems, converged)
+    return _finish(out_dir, lines, problems, _converged(groups))
 
 
 def _cmd_refine(merged: dict) -> int:

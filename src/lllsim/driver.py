@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -261,6 +262,7 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     refinements = 0
     refinement_converged = True
     rep = comb = chk = 0
+    angled = angle = None  # the subspace the last angle was computed for
 
     for t in range(m):
         passed = False
@@ -329,7 +331,10 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
                     err[i] = e
 
         dim_curve[t] = ledger.active_dim
-        ang_curve[t] = _angle_to_truth(ledger.active, truth)
+        if ledger.active is not angled:  # the subspace changed this task
+            angled = ledger.active
+            angle = _angle_to_truth(angled, truth)
+        ang_curve[t] = angle
         seen = err[: t + 1]
         acc_curve[t] = float(np.mean(1.0 - seen))
         min_curve[t] = float(np.min(1.0 - seen))
@@ -511,24 +516,34 @@ def _limit_blas_threads(threads: int) -> None:
             break
 
 
-def run_trials(config: RunConfig, jobs: int = 1) -> list:
-    """Run config.trials independent trials, optionally across processes.
+def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
+    """Run the trials of one config, or of a sequence of configs, in one pool.
 
-    At most min(jobs, trials, available cores) forked worker processes run,
-    each with its share, cores // workers, of the BLAS threads (OpenBLAS
-    only); with one worker the trials run serially in this process.
+    Given one RunConfig, returns its config.trials reports in trial order.
+    Given a sequence of configs, returns one such list per config, in the
+    sequence's order; the trials of all of them share a single pool.
+
+    At most min(jobs, total trials, available cores) forked worker processes
+    run, each with its share, cores // workers, of the BLAS threads
+    (OpenBLAS only); with one worker the trials run serially in this process.
     """
-    cfgs = trial_configs(config)
+    single = isinstance(config, RunConfig)
+    groups = [trial_configs(c) for c in ((config,) if single else config)]
+    cfgs = [c for group in groups for c in group]
     cores = _available_cores()
     workers = min(jobs, len(cfgs), cores)
     if workers <= 1:
-        return [run_one(c) for c in cfgs]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_limit_blas_threads,
-        initargs=(cores // workers,),  # >= 1, since workers <= cores
-    ) as pool:
-        return list(pool.map(run_one, cfgs))
+        reports = [run_one(c) for c in cfgs]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_limit_blas_threads,
+            initargs=(cores // workers,),  # >= 1, since workers <= cores
+        ) as pool:
+            reports = list(pool.map(run_one, cfgs))
+    done = iter(reports)
+    grouped = [[next(done) for _ in group] for group in groups]
+    return grouped[0] if single else grouped
 
 
 _CURVE_FIELDS = (

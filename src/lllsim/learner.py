@@ -70,17 +70,15 @@ def _count_mistakes(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
 def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Perceptron passes toward a direction consistent with the batch.
 
-    Processes the batch in blocks, adding y*x over each block's mistakes.
-    Stops on a mistake-free epoch; keeps the best iterate seen so the
-    result never classifies the batch worse than the starting point (the
-    batch need not be separable when the target sits outside the basis).
+    Processes the batch in blocks, adding y*x over each block's mistakes,
+    and stops on a mistake-free epoch. The batch need not be separable when
+    the target sits outside the basis: if the epoch cap comes first, the
+    result is the first of the start and the epoch-end iterates with the
+    fewest mistakes, so it never classifies the batch worse than the start.
     """
     n = y.size
-    best_w = w
-    best_bad = _count_mistakes(w, x, y)
+    iterates = [w]
     for _ in range(_POLISH_EPOCHS):
-        if best_bad == 0:
-            break
         updated = False
         for lo in range(0, n, _POLISH_BLOCK):
             xb = x[lo : lo + _POLISH_BLOCK]
@@ -90,12 +88,10 @@ def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 w = w + yb[bad] @ xb[bad]
                 updated = True
         if not updated:
-            best_w, best_bad = w, 0
-            break
-        n_bad = _count_mistakes(w, x, y)
-        if n_bad < best_bad:
-            best_w, best_bad = w, n_bad
-    return best_w
+            return w
+        iterates.append(w)
+    mistakes = [_count_mistakes(v, x, y) for v in iterates]
+    return iterates[mistakes.index(min(mistakes))]
 
 
 def estimate_direction(

@@ -1,6 +1,37 @@
 import numpy as np
 import pytest
 
+from lllsim import driver
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments, maps in-process."""
+
+    def __init__(self, made: list, max_workers: int, initializer, initargs):
+        made.append((max_workers, initializer, initargs))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """(max_workers, initializer, initargs) of every pool run_trials starts.
+
+    The pools are stand-ins that run the trials in this process.
+    """
+    made = []
+    monkeypatch.setattr(
+        driver, "ProcessPoolExecutor", lambda **kw: _RecordingPool(made, **kw)
+    )
+    return made
+
 
 @pytest.fixture
 def near_planted_rows():

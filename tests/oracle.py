@@ -1,8 +1,11 @@
-"""Brute-force oracle for the subspace-fitting problem at tiny scale.
+"""Reference implementations the tests compare the package against.
 
 `brute_force_refine` searches a deterministic grid of candidate subspaces
 (d <= 4, target dimension <= 2) for the one whose largest feature distance
 is smallest. The refinement tests compare the SDP solver against it.
+
+`polish_with_recounts` is the perceptron polish that recounts the batch's
+mistakes after every epoch. The learner tests compare `_polish` against it.
 """
 
 import math
@@ -10,6 +13,7 @@ import math
 import numpy as np
 
 from lllsim.geometry import Subspace, orthonormalize
+from lllsim.learner import _POLISH_BLOCK, _POLISH_EPOCHS, _count_mistakes
 from lllsim.refinement import _complete_basis, _feature_matrix, _fix_signs
 
 
@@ -165,3 +169,32 @@ def brute_force_refine(W, target_dim: int, grid: int = 400):
     vals, vecs = np.linalg.eigh(best_P)
     basis = _fix_signs(vecs[:, -2:])
     return Subspace(basis=basis), math.sqrt(max(best_val, 0.0))
+
+
+def polish_with_recounts(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The perceptron polish that counts the batch's mistakes after every epoch.
+
+    Reference for `lllsim.learner._polish`, which counts them only when the
+    epoch cap is reached; both must return the same vector bit for bit.
+    """
+    n = y.size
+    best_w = w
+    best_bad = _count_mistakes(w, x, y)
+    for _ in range(_POLISH_EPOCHS):
+        if best_bad == 0:
+            break
+        updated = False
+        for lo in range(0, n, _POLISH_BLOCK):
+            xb = x[lo : lo + _POLISH_BLOCK]
+            yb = y[lo : lo + _POLISH_BLOCK]
+            bad = (xb @ w) * yb <= 0.0
+            if bad.any():
+                w = w + yb[bad] @ xb[bad]
+                updated = True
+        if not updated:
+            best_w, best_bad = w, 0
+            break
+        n_bad = _count_mistakes(w, x, y)
+        if n_bad < best_bad:
+            best_w, best_bad = w, n_bad
+    return best_w

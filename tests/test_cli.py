@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lllsim import cli
+from lllsim import cli, driver
 from lllsim.driver import REPORT_COLUMNS, RunConfig
 
 
@@ -75,10 +75,31 @@ def test_simulate_mode_all(tmp_path):
 def test_simulate_parallel_jobs_reproduce_serial(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    args = ("simulate", "--d", 30, "--k", 2, "--m", 10, "--trials", 3, "--seed", 7)
+    args = ("simulate", "--d", 30, "--k", 2, "--m", 10, "--mode", "all")
+    args += ("--trials", 3, "--seed", 7)
     assert run_cli(*args, "--jobs", 1, "-o", serial) == 0
     assert run_cli(*args, "--jobs", 3, "-o", parallel) == 0
-    assert (serial / "runs.csv").read_bytes() == (parallel / "runs.csv").read_bytes()
+    names = ["runs.csv"] + [f"summary_{mode}.csv" for mode in ("basic", "rr", "joint")]
+    for name in names:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "trials, jobs, cores, workers", [(2, 2, 8, 2), (2, 4, 2, 2), (1, 4, 8, 3)]
+)
+def test_simulate_mode_all_starts_one_pool(
+    tmp_path, monkeypatch, recorded_pools, trials, jobs, cores, workers
+):
+    # every mode's trials share one pool of min(jobs, 3 * trials, cores)
+    monkeypatch.setattr(driver, "_available_cores", lambda: cores)
+    rc = run_cli(
+        "simulate", "--d", 30, "--k", 2, "--m", 10, "--mode", "all",
+        "--trials", trials, "--jobs", jobs, "--seed", 5, "-o", tmp_path / "out",
+    )
+    assert rc == 0
+    assert recorded_pools == [
+        (workers, driver._limit_blas_threads, (cores // workers,))
+    ]
 
 
 def test_simulate_montecarlo_checks(tmp_path):
@@ -238,6 +259,20 @@ def test_sweep_d_grid_writes_points_and_fit(tmp_path):
     assert [r[:2] for r in rows[1:]] == [["d", "30"], ["d", "50"]]
     report = (out / "report.txt").read_text()
     assert "slope*d" in report and "R2=" in report
+
+
+@pytest.mark.parametrize(
+    "grid", [("--d-grid", "30,40"), ("--d-grid", "30", "--epsilon-grid", "0.2,0.1")]
+)
+def test_sweep_starts_one_pool(tmp_path, monkeypatch, recorded_pools, grid):
+    # every grid point's trials share one pool of min(jobs, trials, cores)
+    monkeypatch.setattr(driver, "_available_cores", lambda: 8)
+    rc = run_cli(
+        "sweep", *grid, "--d", 30, "--k", 2, "--m", 10, "--trials", 2,
+        "--jobs", 4, "--seed", 1, "-o", tmp_path / "out",
+    )
+    assert rc == 0
+    assert recorded_pools == [(4, driver._limit_blas_threads, (2,))]
 
 
 def test_sweep_epsilon_grid_fits_inverse_epsilon(tmp_path):

@@ -2,7 +2,7 @@ import ctypes
 import ctypes.util
 import math
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -245,42 +245,76 @@ def test_run_trials_parallel_matches_serial():
         assert np.array_equal(a.per_task_error, b.per_task_error)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments, maps in-process."""
-
-    def __init__(self, made: list, max_workers: int, initializer, initargs):
-        made.append((max_workers, initializer, initargs))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 @pytest.mark.parametrize(
     "jobs, trials, cores, workers",
     [(4, 10, 2, 2), (8, 3, 16, 3), (2, 5, 8, 2), (4, 1, 8, None), (4, 6, 1, None)],
 )
-def test_run_trials_caps_workers(monkeypatch, jobs, trials, cores, workers):
+def test_run_trials_caps_workers(
+    monkeypatch, recorded_pools, jobs, trials, cores, workers
+):
     # workers = min(jobs, trials, cores), each capped at cores // workers BLAS
     # threads; one worker means no pool, and so no initializer, at all
-    made = []
-    monkeypatch.setattr(
-        driver, "ProcessPoolExecutor", lambda **kw: _RecordingPool(made, **kw)
-    )
     monkeypatch.setattr(driver, "_available_cores", lambda: cores)
     monkeypatch.setattr(driver, "run_one", lambda cfg: cfg.seed)
     seeds = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=trials), jobs=jobs)
     assert seeds == list(range(5, 5 + trials))
     if workers is None:
-        assert made == []
+        assert recorded_pools == []
     else:
         budget = max(1, cores // workers)
-        assert made == [(workers, driver._limit_blas_threads, (budget,))]
+        assert recorded_pools == [(workers, driver._limit_blas_threads, (budget,))]
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, workers", [(4, 8, 4), (8, 16, 6), (4, 2, 2), (1, 8, None)]
+)
+def test_run_trials_shares_one_pool_across_configs(
+    monkeypatch, recorded_pools, jobs, cores, workers
+):
+    # 2 + 3 + 1 trials: one pool of min(jobs, 6, cores) workers for all of
+    # them, and the reports come back config by config, trial by trial
+    monkeypatch.setattr(driver, "_available_cores", lambda: cores)
+    monkeypatch.setattr(driver, "run_one", lambda cfg: (cfg.mode, cfg.seed))
+    cfgs = [
+        RunConfig(d=15, k=2, m=8, seed=5, trials=2, mode="basic"),
+        RunConfig(d=15, k=2, m=8, seed=5, trials=3, mode="rr"),
+        RunConfig(d=15, k=2, m=8, seed=9, trials=1, mode="joint"),
+    ]
+    assert run_trials(cfgs, jobs=jobs) == [
+        [("basic", 5), ("basic", 6)],
+        [("rr", 5), ("rr", 6), ("rr", 7)],
+        [("joint", 9)],
+    ]
+    if workers is None:
+        assert recorded_pools == []
+    else:
+        budget = cores // workers
+        assert recorded_pools == [(workers, driver._limit_blas_threads, (budget,))]
+
+
+def _same_report(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in fields(a)
+        if f.name != "wall_time"
+    )
+
+
+def test_run_trials_one_pool_matches_serial_per_config():
+    # a real forked pool for two configs returns what each config's own
+    # serial run returns, in order
+    cfgs = [
+        RunConfig(d=15, k=2, m=8, seed=5, trials=2, mode="basic"),
+        RunConfig(d=15, k=2, m=8, seed=5, trials=2, mode="rr"),
+    ]
+    pooled = run_trials(cfgs, jobs=2)
+    assert len(pooled) == 2
+    for cfg, reports in zip(cfgs, pooled):
+        serial = run_trials(cfg, jobs=1)
+        assert [r.mode for r in reports] == [cfg.mode] * 2
+        assert [r.seed for r in reports] == [5, 6]
+        assert len(reports) == len(serial)
+        assert all(_same_report(a, b) for a, b in zip(reports, serial))
 
 
 _OPENBLAS_GET_THREADS = (

@@ -7,6 +7,8 @@ from lllsim.geometry import orthonormalize
 from lllsim.learner import (
     C_S_DEFAULT,
     Hypothesis,
+    _count_mistakes,
+    _polish,
     adversarial_learn,
     budget,
     check_hypothesis,
@@ -19,8 +21,10 @@ from lllsim.synthetic import (
     GroundTruth,
     TaskStream,
     generate_problem,
+    sample_batch,
     task_error_exact,
 )
+from oracle import polish_with_recounts
 
 
 def _single_task_problem(a: np.ndarray) -> GroundTruth:
@@ -91,6 +95,49 @@ def test_learn_halfspace_calibration():
         if task_error_exact(h.direction, 0, gt) <= 0.1:
             hits += 1
     assert hits >= 95
+
+
+def _polish_batch(d: int, n: int, seed: int, r: int | None = None):
+    """(x, y, a): n labeled samples of a task in R^d, reduced to r random
+    coordinates (a basis that misses the target) when r is given."""
+    rng = np.random.default_rng(seed)
+    gt = _single_task_problem(rng.standard_normal(d))
+    batch = sample_batch(TaskStream(ground_truth=gt, order=(0,), rng_seed=seed), 0, n)
+    x = batch.x
+    if r is not None:
+        x = x @ orthonormalize(list(rng.standard_normal((r, d)))).basis
+    return x, batch.y, gt.a[0]
+
+
+def test_polish_separable_batch_matches_recounting_oracle():
+    x, y, _ = _polish_batch(d=40, n=2000, seed=3)
+    start = y @ x
+    assert _count_mistakes(start, x, y) > 0  # the polish has work to do
+    w = _polish(start, x, y)
+    assert _count_mistakes(w, x, y) == 0
+    assert np.array_equal(w, polish_with_recounts(start, x, y))
+
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_polish_at_the_epoch_cap_matches_recounting_oracle(seed):
+    # the target is outside the 3 coordinates kept, so the batch is not
+    # separable in them and every one of the 64 epochs makes mistakes; with
+    # seed 5 no epoch beats the start, with seed 9 the fewest mistakes come
+    # after epoch 13 and again after epoch 41, and the first of the two wins
+    x, y, _ = _polish_batch(d=20, n=400, seed=seed, r=3)
+    start = y @ x
+    w = _polish(start, x, y)
+    assert _count_mistakes(w, x, y) > 0  # a clean epoch would have ended it
+    assert _count_mistakes(w, x, y) <= _count_mistakes(start, x, y)
+    assert np.array_equal(w, polish_with_recounts(start, x, y))
+
+
+def test_polish_keeps_a_mistake_free_start():
+    x, y, a = _polish_batch(d=30, n=1000, seed=8)
+    assert _count_mistakes(a, x, y) == 0
+    w = _polish(a, x, y)
+    assert np.array_equal(w, a)
+    assert np.array_equal(w, polish_with_recounts(a, x, y))
 
 
 def test_learn_in_feature_space_realizable():
