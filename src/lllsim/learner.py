@@ -9,6 +9,11 @@ target in expectation (E[y*x] = sqrt(2/pi) * a under Gaussian inputs) but
 its angle error only shrinks like sqrt(d/n). Perceptron passes over the
 same batch then drive the training mistakes to zero; the consistent
 direction generalizes at the ~d/n rate the budget formula is shaped for.
+
+Both stages compute in the inputs' dtype. A full-d learn fits the float32
+sample batch as stored, so it holds n*d*4 bytes and no float64 copy of the
+batch; an in-span learn fits the float64 coordinates x @ basis. The
+returned direction is normalized in float64.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ class Hypothesis:
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         # all-zero accumulator: probability-zero event, pick a fixed direction
@@ -64,7 +70,8 @@ def _normalize(v: np.ndarray) -> np.ndarray:
 
 
 def _count_mistakes(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
-    return int(np.count_nonzero((x @ w) * y <= 0.0))
+    # w in x's dtype: a float64 w would make x @ w copy a float32 x to float64
+    return int(np.count_nonzero((x @ w.astype(x.dtype, copy=False)) * y <= 0.0))
 
 
 def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -75,9 +82,14 @@ def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the target sits outside the basis: if the epoch cap comes first, the
     result is the first of the start and the epoch-end iterates with the
     fewest mistakes, so it never classifies the batch worse than the start.
+
+    The passes compute in x's dtype. The start object itself is returned
+    when it wins, so a mistake-free start comes back unchanged.
     """
     n = y.size
+    y = y.astype(x.dtype, copy=False)  # int64 labels would upcast to float64
     iterates = [w]
+    w = w.astype(x.dtype, copy=False)
     for _ in range(_POLISH_EPOCHS):
         updated = False
         for lo in range(0, n, _POLISH_BLOCK):
@@ -88,7 +100,7 @@ def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 w = w + yb[bad] @ xb[bad]
                 updated = True
         if not updated:
-            return w
+            return iterates[-1]
         iterates.append(w)
     mistakes = [_count_mistakes(v, x, y) for v in iterates]
     return iterates[mistakes.index(min(mistakes))]
@@ -104,8 +116,9 @@ def estimate_direction(
     until it is classified without mistakes (or an epoch cap), starting
     from the accumulated sum so the updates refine rather than overwrite
     it. Deterministic given the stream's seed. With `basis` (d, r), inputs
-    are reduced to their r coordinates before fitting; labels still come
-    from the full-dimensional sample.
+    are reduced to their r float64 coordinates before fitting; labels still
+    come from the full-dimensional sample. Without it both stages run on
+    the float32 batch.
     """
     dim = stream.ground_truth.d if basis is None else basis.shape[1]
     acc = np.zeros(dim)
@@ -116,9 +129,10 @@ def estimate_direction(
         take = min(_LEARN_CHUNK, n - done)
         batch = sample_batch(stream, task, take)
         z = batch.x if basis is None else batch.x @ basis
-        acc += batch.y @ z
+        y = batch.y.astype(z.dtype)  # int64 @ float32 would copy z to float64
+        acc += y @ z
         parts_x.append(z)
-        parts_y.append(batch.y)
+        parts_y.append(y)
         done += take
     if not parts_x:
         return _normalize(acc)

@@ -21,6 +21,13 @@ the features (dimension r = rank(W)), which is exact: any feasible ambient
 X restricts to a feasible reduced one with the same constraint values, and
 a reduced solution extends by the identity on the orthogonal complement.
 
+The solution is kept in that factored form, X = Q Xr Q' + (I - QQ'), with
+Q (d, r) orthonormal and Xr (r, r): the solver, the feasibility checks and
+the rounding work on Xr, and the d x d matrix X is built only on request
+(`SdpSolution.X`, `dump_solution`). Because trace(Xr) = r - k and Xr's
+eigenvalues lie in [0, 1], at least k of them are below 1, so the rounded
+eigenvectors lie in span(Q) unless more columns are asked for than Xr has.
+
 Hedge's learning rate follows AdaHedge (de Rooij, van Erven, Grunwald and
 Koolen 2014, "Follow the Leader If You Can, Hedge If You Must"): with
 losses l_i = 1 - w_i' X_t w_i, the rate at step t is eta_t = ln n / Delta,
@@ -47,9 +54,14 @@ _SIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Feasible approximate solution of the refinement SDP."""
+    """Feasible approximate solution of the refinement SDP, in factored form.
 
-    X: np.ndarray  # (d, d) symmetric, 0 <= X <= I, trace d - k
+    X = Q Xr Q' + (I - QQ'): Xr acts on span(Q), X is the identity on its
+    orthogonal complement, and trace(X) = d - k holds when trace(Xr) = r - k.
+    """
+
+    Q: np.ndarray  # (d, r) orthonormal columns
+    Xr: np.ndarray  # (r, r) symmetric, 0 <= Xr <= I, trace r - k
     t: float  # achieved value max_i w_i' X w_i
     weights: np.ndarray  # final averaged constraint weights (probability vector)
     iterations: int
@@ -59,18 +71,28 @@ class SdpSolution:
     checkpoints: tuple  # (iteration, primal_best, dual_best, gap) rows
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        d = X.shape[0]
-        if X.shape != (d, d) or not np.allclose(X, X.T, atol=1e-9):
-            raise ValueError("X must be square symmetric")
-        eig = np.linalg.eigvalsh(X)
+        Q = np.asarray(self.Q, dtype=float)
+        Xr = np.asarray(self.Xr, dtype=float)
+        d, r = Q.shape
+        if r > d or not np.allclose(Q.T @ Q, np.eye(r), atol=1e-9):
+            raise ValueError("Q must have orthonormal columns")
+        if Xr.shape != (r, r) or not np.allclose(Xr, Xr.T, atol=1e-9):
+            raise ValueError("Xr must be square symmetric with Q's column count")
+        eig = np.linalg.eigvalsh(Xr)
         if eig[0] < -_FEAS_TOL or eig[-1] > 1.0 + _FEAS_TOL:
             raise ValueError(f"eigenvalues outside [0, 1]: [{eig[0]}, {eig[-1]}]")
-        if abs(float(np.trace(X)) - (d - self.k)) > _FEAS_TOL:
-            raise ValueError("trace(X) != d - k")
+        if abs(float(np.trace(Xr)) - (r - self.k)) > _FEAS_TOL:
+            raise ValueError("trace(Xr) != r - k")
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < -1e-12) or abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must be a probability vector")
+
+    @property
+    def X(self) -> np.ndarray:
+        """The (d, d) matrix X, built on each access."""
+        d = self.Q.shape[0]
+        X = self.Q @ self.Xr @ self.Q.T + (np.eye(d) - self.Q @ self.Q.T)
+        return 0.5 * (X + X.T)
 
 
 @dataclass(frozen=True)
@@ -156,12 +178,13 @@ def solve_refinement_sdp(
 
     if r <= k:
         # every feasible direction of slack lies outside span(W): the exact
-        # optimum is t = 0 with X the identity on a (d-k)-dim complement
-        extra = _complete_basis(Q, k - r)
-        P = Q @ Q.T + (extra @ extra.T if extra.shape[1] else 0.0)
-        X = np.eye(d) - P
+        # optimum is t = 0 with X the identity on a (d-k)-dim complement,
+        # so Q grows to k columns and Xr is zero on them
+        if r < k:
+            Q = np.hstack([Q, _complete_basis(Q, k - r)])
         return SdpSolution(
-            X=0.5 * (X + X.T),
+            Q=Q,
+            Xr=np.zeros((k, k)),
             t=0.0,
             weights=np.full(n, 1.0 / n),
             iterations=0,
@@ -231,9 +254,9 @@ def solve_refinement_sdp(
     gap = max(0.0, t_val - best_dual)
     checkpoints.append((done, t_val, best_dual, gap))
 
-    X = Q @ Xr @ Q.T + (np.eye(d) - Q @ Q.T)
     return SdpSolution(
-        X=0.5 * (X + X.T),
+        Q=Q,
+        Xr=Xr,
         t=t_val,
         weights=p_bar,
         iterations=done,
@@ -263,19 +286,26 @@ def round_sdp(sol: SdpSolution, k: int, c: int = 2, trim: bool = True) -> Subspa
     k dimensions): any cut whose next eigenvalue is >= 1/2 preserves the
     distance guarantee dist^2 <= 2 * value, and the trimmed subspace is
     usually exactly k-dimensional on well-posed instances.
+
+    X's eigenvectors are Q times Xr's, then its eigenvalue-1 complement, so
+    only Xr is decomposed. The complement is built only when more than r
+    columns are kept (`trim=False` with c*k - 1 > r); among eigenvalue-1
+    vectors the order is arbitrary, so which of them such a cut keeps is too.
     """
     if int(c) != c or c < 2:
         raise ValueError("c must be an integer >= 2")
-    d = sol.X.shape[0]
-    vals, vecs = np.linalg.eigh(sol.X)
-    vecs = _fix_signs(vecs)
+    d, r = sol.Q.shape
+    vals, vecs = np.linalg.eigh(sol.Xr)
     cap = min(int(c) * k - 1, d)
     if trim:
         below = int(np.count_nonzero(vals < 0.5))
         dims = min(max(below, k), cap)
     else:
         dims = cap
-    return Subspace(basis=vecs[:, :dims])
+    basis = sol.Q @ vecs[:, : min(dims, r)]
+    if dims > r:
+        basis = np.hstack([basis, _complete_basis(sol.Q, dims - r)])
+    return Subspace(basis=_fix_signs(basis))
 
 
 def _round_and_certify(
@@ -320,33 +350,6 @@ def refine(
     if full_output:
         return V, cert, sol
     return V, cert
-
-
-def refine_auto(
-    W,
-    eps_acc: float,
-    c: int = 2,
-    tol: float = DEFAULT_TOL,
-    max_iters: int | None = None,
-    trim: bool = True,
-):
-    """Increment k until the SDP value certifies a fit within eps_acc.
-
-    Returns (subspace, certificate, k_used). No optimality guarantee on
-    k_used; it is the smallest k whose solved value drops to eps_acc^2.
-    """
-    if eps_acc <= 0.0:
-        raise ValueError("eps_acc must be positive")
-    A = _feature_matrix(W)
-    d = A.shape[1]
-    rank = orthonormalize(list(A)).dim
-    top = min(rank, d - 1)
-    for k in range(1, top + 1):
-        sol = solve_refinement_sdp(list(A), k, max_iters=max_iters, tol=tol)
-        if sol.t <= eps_acc * eps_acc or k == top:
-            V, cert = _round_and_certify(A, sol, k, c, trim, tol)
-            return V, cert, k
-    raise AssertionError("unreachable")
 
 
 def dump_solution(sol: SdpSolution, path) -> None:

@@ -5,6 +5,12 @@ k-dimensional row space of W*. Inputs are standard Gaussian, labels are the
 halfspace sign, and because the Gaussian is rotationally symmetric every
 error probability is the exact angle formula theta/pi, so no test-set noise
 anywhere downstream.
+
+Sample batches are stored as float32, half the memory of float64: a batch
+of n rows in R^d holds n*d*4 bytes. Each row is drawn in float64 from its
+task's counter-based substream and labeled from those float64 values, so
+the draws and labels are those of one float64 (n, d) draw; only the stored
+inputs are rounded.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 
 _UNIT_TOL = 1e-8
 _MC_CHUNK = 1 << 18
+_SAMPLE_BLOCK = 256  # rows drawn in float64 at a time before rounding to float32
 
 # Substream namespaces: one per independent purpose so parallel trials and
 # repeated batches never share generator state.
@@ -58,7 +65,7 @@ class GroundTruth:
 class SampleBatch:
     """A batch of labeled samples, stored as arrays."""
 
-    x: np.ndarray  # (n, d)
+    x: np.ndarray  # (n, d) float32
     y: np.ndarray  # (n,) of +/-1
 
     def __len__(self) -> int:
@@ -103,7 +110,12 @@ def generate_problem(d: int, k: int, m: int, seed: int) -> GroundTruth:
 
 
 def sample_batch(stream: TaskStream, task: int, n: int) -> SampleBatch:
-    """Draw n labeled samples for one task; repeated calls continue the stream."""
+    """Draw n labeled samples for one task; repeated calls continue the stream.
+
+    The rows are drawn and labeled in float64 blocks of _SAMPLE_BLOCK rows,
+    which continue one generator, so x equals the float32 rounding of a
+    single (n, d) float64 draw and y holds that draw's labels.
+    """
     gt = stream.ground_truth
     if not (0 <= task < gt.m):
         raise ValueError(f"task {task} out of range [0, {gt.m})")
@@ -112,8 +124,16 @@ def sample_batch(stream: TaskStream, task: int, n: int) -> SampleBatch:
     batch_idx = stream._batch_counters.get(task, 0)
     stream._batch_counters[task] = batch_idx + 1
     rng = rng_substream(stream.rng_seed, NS_BATCH, task, batch_idx)
-    x = rng.standard_normal((n, gt.d))
-    y = np.where(x @ gt.a[task] >= 0.0, 1, -1)  # ties go to +1
+    a = gt.a[task]
+    x = np.empty((n, gt.d), dtype=np.float32)
+    y = np.empty(n, dtype=np.int64)
+    block = np.empty((min(n, _SAMPLE_BLOCK), gt.d))
+    for lo in range(0, n, _SAMPLE_BLOCK):
+        hi = min(lo + _SAMPLE_BLOCK, n)
+        rows = block[: hi - lo]
+        rng.standard_normal(out=rows)
+        y[lo:hi] = np.where(rows @ a >= 0.0, 1, -1)  # ties go to +1
+        x[lo:hi] = rows
     return SampleBatch(x=x, y=y)
 
 

@@ -4,6 +4,11 @@
 (d <= 4, target dimension <= 2) for the one whose largest feature distance
 is smallest. The refinement tests compare the SDP solver against it.
 
+`dense_solution_X` and `dense_round_sdp` build the refinement SDP's d x d
+matrix X and round it with a d x d eigendecomposition, as the solver did
+before it kept X factored. The refinement tests compare the factored
+solution and its rounding against them.
+
 `polish_with_recounts` is the perceptron polish that recounts the batch's
 mistakes after every epoch. The learner tests compare `_polish` against it.
 """
@@ -171,15 +176,52 @@ def brute_force_refine(W, target_dim: int, grid: int = 400):
     return Subspace(basis=basis), math.sqrt(max(best_val, 0.0))
 
 
+def dense_solution_X(W, k: int, Xr: np.ndarray) -> np.ndarray:
+    """The solver's d x d X for features W, rank k and reduced solution Xr.
+
+    Q is the orthonormal basis of span(W), of dimension r. For r <= k the
+    optimum is X = I - P, with P the projector onto span(W) plus k - r
+    complement columns (Xr is ignored); otherwise X = Q Xr Q' + (I - QQ').
+    """
+    A = _feature_matrix(W)
+    d = A.shape[1]
+    span = orthonormalize(list(A))
+    Q = span.basis
+    if span.dim <= k:
+        extra = _complete_basis(Q, k - span.dim)
+        P = Q @ Q.T + (extra @ extra.T if extra.shape[1] else 0.0)
+        X = np.eye(d) - P
+    else:
+        X = Q @ Xr @ Q.T + (np.eye(d) - Q @ Q.T)
+    return 0.5 * (X + X.T)
+
+
+def dense_round_sdp(X: np.ndarray, k: int, c: int = 2, trim: bool = True) -> Subspace:
+    """Spectral rounding of a d x d X through its full eigendecomposition."""
+    d = X.shape[0]
+    vals, vecs = np.linalg.eigh(X)
+    vecs = _fix_signs(vecs)
+    cap = min(int(c) * k - 1, d)
+    if trim:
+        below = int(np.count_nonzero(vals < 0.5))
+        dims = min(max(below, k), cap)
+    else:
+        dims = cap
+    return Subspace(basis=vecs[:, :dims])
+
+
 def polish_with_recounts(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The perceptron polish that counts the batch's mistakes after every epoch.
 
     Reference for `lllsim.learner._polish`, which counts them only when the
     epoch cap is reached; both must return the same vector bit for bit.
+    The passes compute in x's dtype; a start that wins is returned as given.
     """
     n = y.size
+    y = y.astype(x.dtype)
     best_w = w
     best_bad = _count_mistakes(w, x, y)
+    w = w.astype(x.dtype)
     for _ in range(_POLISH_EPOCHS):
         if best_bad == 0:
             break

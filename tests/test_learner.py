@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,25 +98,27 @@ def test_learn_halfspace_calibration():
     assert hits >= 95
 
 
-def _polish_batch(d: int, n: int, seed: int, r: int | None = None):
+def _polish_batch(d: int, n: int, seed: int, r: int | None = None, dtype=np.float64):
     """(x, y, a): n labeled samples of a task in R^d, reduced to r random
-    coordinates (a basis that misses the target) when r is given."""
+    coordinates (a basis that misses the target) when r is given; x in dtype."""
     rng = np.random.default_rng(seed)
     gt = _single_task_problem(rng.standard_normal(d))
     batch = sample_batch(TaskStream(ground_truth=gt, order=(0,), rng_seed=seed), 0, n)
     x = batch.x
     if r is not None:
         x = x @ orthonormalize(list(rng.standard_normal((r, d)))).basis
-    return x, batch.y, gt.a[0]
+    return x.astype(dtype), batch.y, gt.a[0]
 
 
 def test_polish_separable_batch_matches_recounting_oracle():
-    x, y, _ = _polish_batch(d=40, n=2000, seed=3)
-    start = y @ x
-    assert _count_mistakes(start, x, y) > 0  # the polish has work to do
-    w = _polish(start, x, y)
-    assert _count_mistakes(w, x, y) == 0
-    assert np.array_equal(w, polish_with_recounts(start, x, y))
+    for dtype in (np.float64, np.float32):
+        x, y, _ = _polish_batch(d=40, n=2000, seed=3, dtype=dtype)
+        start = y @ x
+        assert _count_mistakes(start, x, y) > 0  # the polish has work to do
+        w = _polish(start, x, y)
+        assert w.dtype == dtype
+        assert _count_mistakes(w, x, y) == 0
+        assert np.array_equal(w, polish_with_recounts(start, x, y))
 
 
 @pytest.mark.parametrize("seed", [5, 9])
@@ -124,12 +127,13 @@ def test_polish_at_the_epoch_cap_matches_recounting_oracle(seed):
     # separable in them and every one of the 64 epochs makes mistakes; with
     # seed 5 no epoch beats the start, with seed 9 the fewest mistakes come
     # after epoch 13 and again after epoch 41, and the first of the two wins
-    x, y, _ = _polish_batch(d=20, n=400, seed=seed, r=3)
-    start = y @ x
-    w = _polish(start, x, y)
-    assert _count_mistakes(w, x, y) > 0  # a clean epoch would have ended it
-    assert _count_mistakes(w, x, y) <= _count_mistakes(start, x, y)
-    assert np.array_equal(w, polish_with_recounts(start, x, y))
+    for dtype in (np.float64, np.float32):
+        x, y, _ = _polish_batch(d=20, n=400, seed=seed, r=3, dtype=dtype)
+        start = y @ x
+        w = _polish(start, x, y)
+        assert _count_mistakes(w, x, y) > 0  # a clean epoch would have ended it
+        assert _count_mistakes(w, x, y) <= _count_mistakes(start, x, y)
+        assert np.array_equal(w, polish_with_recounts(start, x, y))
 
 
 def test_polish_keeps_a_mistake_free_start():
@@ -138,6 +142,24 @@ def test_polish_keeps_a_mistake_free_start():
     w = _polish(a, x, y)
     assert np.array_equal(w, a)
     assert np.array_equal(w, polish_with_recounts(a, x, y))
+
+
+def test_full_d_learn_holds_one_float32_batch():
+    # a full-d learn at d=400 with wide's eps_acc and c_s: its one batch of
+    # n*d float32 values is the peak; a float64 copy of it would double that
+    eps, d = 0.059628, 400
+    n = budget(d, eps, 0.5)
+    assert n == 9458
+    gt = generate_problem(d=d, k=2, m=2, seed=0)
+    stream = TaskStream(ground_truth=gt, order=(0, 1), rng_seed=0)
+    tracemalloc.start()
+    try:
+        h = learn_halfspace(stream, task=0, eps_target=eps, c_s=0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.direction.dtype == np.float64
+    assert peak <= 1.2 * n * d * 4
 
 
 def test_learn_in_feature_space_realizable():

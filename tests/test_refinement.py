@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lllsim.geometry import dist_to_subspace, orthonormalize, principal_angles
+from lllsim.geometry import Subspace, dist_to_subspace, orthonormalize, principal_angles
 from lllsim.refinement import (
     DEFAULT_TOL,
     RefinementCertificate,
@@ -11,11 +12,10 @@ from lllsim.refinement import (
     _mixability_gap,
     dump_solution,
     refine,
-    refine_auto,
     round_sdp,
     solve_refinement_sdp,
 )
-from oracle import brute_force_refine
+from oracle import brute_force_refine, dense_round_sdp, dense_solution_X
 
 E = np.eye(5)
 
@@ -182,7 +182,8 @@ def _manual_solution(eigvals, k):
     eigvals = np.asarray(eigvals, dtype=float)
     X = np.diag(eigvals)
     return SdpSolution(
-        X=X,
+        Q=np.eye(eigvals.size),
+        Xr=X,
         t=float(eigvals.max()),
         weights=np.array([1.0]),
         iterations=1,
@@ -223,7 +224,8 @@ def test_round_sign_convention():
     lam = np.array([0.1, 0.3, 0.7, 0.9, 1.0, 1.0])  # trace 4 = d - k for k=2
     X = Q @ np.diag(lam) @ Q.T
     sol = SdpSolution(
-        X=0.5 * (X + X.T),
+        Q=np.eye(6),
+        Xr=0.5 * (X + X.T),
         t=1.0,
         weights=np.array([1.0]),
         iterations=1,
@@ -244,6 +246,87 @@ def test_round_validates_c():
     sol = _manual_solution([0.0, 1.0, 1.0, 1.0], k=1)
     with pytest.raises(ValueError):
         round_sdp(sol, k=1, c=1)
+
+
+def _unit_rows(seed, n, d):
+    W = np.random.default_rng(seed).standard_normal((n, d))
+    return W / np.linalg.norm(W, axis=1)[:, None]
+
+
+def _factored_and_dense(W, k, sol, c=2, trim=True):
+    """Round sol both ways after checking sol.X against the dense X."""
+    X = dense_solution_X(W, k, sol.Xr)
+    if sol.Q.shape[1] > np.linalg.matrix_rank(W):
+        # complement columns in Q: sol.X sums them into QQ' in one product,
+        # the dense X adds their projector separately
+        np.testing.assert_allclose(sol.X, X, rtol=0.0, atol=1e-15)
+    else:
+        assert np.array_equal(sol.X, X)
+    V = round_sdp(sol, k, c=c, trim=trim)
+    D = dense_round_sdp(X, k, c=c, trim=trim)
+    assert V.dim == D.dim
+    return V, D, X
+
+
+@pytest.mark.parametrize("trim", [True, False])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_factored_rounding_matches_dense_near_planted(seed, trim, near_planted_rows):
+    W = near_planted_rows(seed)
+    sol = solve_refinement_sdp(W, 3)
+    V, D, _ = _factored_and_dense(W, 3, sol, trim=trim)
+    assert principal_angles(V, D).max <= 1e-9
+
+
+@pytest.mark.parametrize("trim", [True, False])
+def test_factored_rounding_matches_dense_gaussian_rows(trim):
+    W = _unit_rows(0, 100, 30)
+    sol = solve_refinement_sdp(W, k=3, tol=5e-3)
+    V, D, _ = _factored_and_dense(W, 3, sol, trim=trim)
+    assert principal_angles(V, D).max <= 1e-9
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 3)])
+def test_factored_rounding_matches_dense_at_rank_up_to_k(n, k):
+    # rank r <= k: the exact optimum, with k - r complement columns in Q
+    W = _unit_rows(4, n, 6)
+    sol = solve_refinement_sdp(W, k)
+    assert sol.Q.shape == (6, k) and sol.t == 0.0
+    V, D, _ = _factored_and_dense(W, k, sol)
+    assert V.dim == k
+    assert principal_angles(V, D).max <= 1e-9
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 2)])
+def test_untrimmed_rounding_past_the_eigenvalues_below_one(n, k):
+    # c=3 without trim keeps 3k-1 columns, more than X has eigenvalues below
+    # 1; the rest come from X's eigenvalue-1 eigenspace, where the order of
+    # the tied vectors is arbitrary, so the two roundings may keep different
+    # vectors of it: both must be eigenvalue-1 vectors of X
+    W = _unit_rows(6, n, 8)
+    sol = solve_refinement_sdp(W, k)
+    V, D, X = _factored_and_dense(W, k, sol, c=3, trim=False)
+    assert V.dim == 3 * k - 1
+    below = int(np.count_nonzero(np.linalg.eigvalsh(sol.Xr) < 1.0 - 1e-6))
+    assert below < V.dim
+    head = [Subspace(basis=B.basis[:, :below]) for B in (V, D)]
+    assert principal_angles(*head).max <= 1e-9
+    for B in (V.basis, D.basis):
+        assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-10)
+        assert np.allclose(X @ B[:, below:], B[:, below:], atol=1e-9)
+
+
+def test_refine_in_a_large_ambient_space_builds_no_d_by_d_matrix():
+    # 9 unit features in R^2000: a single d x d float64 matrix is 32 MB, but
+    # the work has the features' rank 9 and stays in their span
+    W = _unit_rows(0, 9, 2000)
+    tracemalloc.start()
+    try:
+        V, cert = refine(W, k=5, eps_acc=0.1, tol=5e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert V.ambient_dim == 2000 and V.dim <= 9
+    assert peak < 8e6
 
 
 def test_refine_planted_certificate():
@@ -290,19 +373,6 @@ def test_refine_full_output_gap():
     # exceeds it by at most the certified gap; the gap itself stays small
     assert sol.t <= 0.03**2 + sol.gap + 1e-9
     assert sol.gap <= 5e-3
-
-
-def test_refine_auto_finds_planted_k():
-    rng = np.random.default_rng(19)
-    B = np.linalg.qr(rng.standard_normal((20, 3)))[0]
-    W = []
-    for _ in range(12):
-        c = rng.standard_normal(3)
-        W.append(B @ (c / np.linalg.norm(c)))
-    V, cert, k_used = refine_auto(W, eps_acc=1e-4)
-    assert k_used == 3
-    assert V.dim == 3
-    assert cert.max_distance <= 1e-10
 
 
 def test_certificate_invariant_enforced():

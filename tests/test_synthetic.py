@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from lllsim.synthetic import (
+    _SAMPLE_BLOCK,
+    NS_BATCH,
     GroundTruth,
     TaskStream,
     disagreement_exact,
     disagreement_mc,
     generate_problem,
     load_problem,
+    rng_substream,
     sample_batch,
     save_problem,
     task_error_exact,
@@ -137,6 +140,20 @@ def test_sample_batch_deterministic_and_advancing():
     # other tasks draw from distinct substreams
     b4 = sample_batch(s2, task=0, n=50)
     assert not np.array_equal(b2.x, b4.x)
+
+
+@pytest.mark.parametrize("n", [1, _SAMPLE_BLOCK, 2 * _SAMPLE_BLOCK + 17])
+def test_sample_batch_is_the_float32_rounding_of_one_draw(n):
+    # the blocked draw continues one generator: x is the float32 rounding of
+    # a single (n, d) float64 draw of the batch's substream, y its labels
+    gt = generate_problem(d=12, k=3, m=4, seed=6)
+    stream = TaskStream(ground_truth=gt, order=tuple(range(4)), rng_seed=6)
+    sample_batch(stream, task=2, n=5)
+    batch = sample_batch(stream, task=2, n=n)
+    x64 = rng_substream(6, NS_BATCH, 2, 1).standard_normal((n, 12))
+    assert batch.x.dtype == np.float32
+    assert np.array_equal(batch.x, x64.astype(np.float32))
+    assert np.array_equal(batch.y, np.where(x64 @ gt.a[2] >= 0.0, 1, -1))
 
 
 def test_task_stream_validates_order():
