@@ -9,6 +9,11 @@ recorded classifiers into the refined basis. `joint` is the offline
 baseline: pool N samples per task, estimate every task direction in full
 dimension, and take the best rank-k subspace of the stacked estimates.
 
+Per-task classifiers are the rows of one (m, d) array of ambient unit
+vectors, all inside the active subspace. Migrating them to a refined basis
+is one projection of that array, and their errors come from one batched
+`task_errors` call.
+
 Every labeled sample consumed is charged to exactly one ledger phase
 (representation, combination, checking), and reports carry per-task curves
 for accuracy, feature dimension, and the angle between the learned subspace
@@ -22,7 +27,7 @@ import os
 import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from .synthetic import (
     TaskStream,
     generate_problem,
     rng_substream,
-    task_error_exact,
+    task_errors,
 )
 
 MODES = ("basic", "rr", "joint")
@@ -180,35 +185,6 @@ class RunReport:
         return self.per_task_error.shape[0]
 
 
-@dataclass
-class FeatureLedger:
-    """Raw learned features, the active subspace, and per-task classifiers.
-
-    Classifiers are unit coefficient vectors in the active basis; they must
-    be re-expressed whenever the basis changes.
-    """
-
-    ambient_dim: int
-    raw_features: list = field(default_factory=list)
-    active: Subspace | None = None
-    classifiers: dict = field(default_factory=dict)
-
-    @property
-    def active_dim(self) -> int:
-        return 0 if self.active is None else self.active.dim
-
-    def record(self, task: int, coeffs: np.ndarray) -> None:
-        c = np.asarray(coeffs, dtype=float).ravel()
-        nrm = np.linalg.norm(c)
-        if nrm == 0.0:
-            raise ValueError("classifier coefficients must be nonzero")
-        self.classifiers[task] = c / nrm
-
-    def embed(self, task: int) -> np.ndarray:
-        v = self.active.basis @ self.classifiers[task]
-        return v / np.linalg.norm(v)
-
-
 def _angle_to_truth(V: Subspace, truth: Subspace) -> float:
     """Gap-metric angle between the learned subspace and the true span.
 
@@ -222,6 +198,23 @@ def _angle_to_truth(V: Subspace, truth: Subspace) -> float:
     if V.dim != truth.dim:
         return math.pi / 2.0
     return principal_angles(V, truth).max
+
+
+def _project_rows(
+    H: np.ndarray, B: np.ndarray, A: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of H projected onto span(B) and normalized, and their errors on A.
+
+    A row whose projection vanishes is lost: it is not normalized, and its
+    error is 1.0.
+    """
+    P = (H @ B) @ B.T
+    norms = np.linalg.norm(P, axis=1)
+    kept = norms >= 1e-12
+    P[kept] /= norms[kept, None]
+    err = np.ones(len(H))
+    err[kept] = task_errors(P[kept], A[kept])
+    return P, err
 
 
 def _should_refine(config: RunConfig, active_dim: int) -> bool:
@@ -243,14 +236,14 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     t0 = time.perf_counter()
     gt = _resolve_problem(config, problem)
     m = config.m
-    stream = TaskStream(
-        ground_truth=gt, order=tuple(range(m)), rng_seed=config.seed
-    )
+    stream = TaskStream(ground_truth=gt, rng_seed=config.seed)
     truth = orthonormalize(list(gt.a))
     check_rng = rng_substream(config.seed, _NS_CHECK)
 
-    ledger = FeatureLedger(ambient_dim=config.d)
+    active: Subspace | None = None
+    raw: list[np.ndarray] = []  # every full-d feature learned, in order
     stack: list[np.ndarray] = []  # spanning vectors of the active subspace
+    H = np.zeros((m, config.d))  # row t: task t's classifier, in span(active)
     err = np.full(m, np.nan)
     acc_curve = np.empty(m)
     min_curve = np.empty(m)
@@ -266,12 +259,11 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
 
     for t in range(m):
         passed = False
-        if ledger.active_dim > 0:
-            V = ledger.active
-            h = learn_in_feature_space(stream, t, V, config.epsilon, config.c_s)
+        if active is not None:
+            h = learn_in_feature_space(stream, t, active, config.epsilon, config.c_s)
             comb += h.samples_used
             ambient = Hypothesis(
-                direction=V.basis @ h.direction, samples_used=h.samples_used
+                direction=active.basis @ h.direction, samples_used=h.samples_used
             )
             if config.check_mode == "oracle":
                 passed = check_hypothesis(ambient, t, gt, config.epsilon)
@@ -281,58 +273,49 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
                 )
                 chk += n_chk
             if passed:
-                ledger.record(t, h.direction)
-                err[t] = task_error_exact(ambient.direction, t, gt)
+                H[t] = ambient.direction
 
         if not passed:
             fresh = learn_halfspace(stream, t, config.epsilon_acc, config.c_s)
             rep += fresh.samples_used
-            ledger.raw_features.append(fresh.direction)
-            # the span only grows here, so re-expressing previously recorded
-            # classifiers in the enlarged basis is exact and needs no check
-            kept = {i: ledger.embed(i) for i in ledger.classifiers}
+            raw.append(fresh.direction)
             stack.append(fresh.direction)
-            ledger.active = orthonormalize(stack)
-            for i, v in kept.items():
-                ledger.record(i, ledger.active.basis.T @ v)
-            ledger.record(t, ledger.active.basis.T @ fresh.direction)
-            err[t] = task_error_exact(ledger.embed(t), t, gt)
+            active = orthonormalize(stack)
+            # the span only grows here, so the earlier classifiers stay in it
+            # exactly and need neither migration nor a check
+            H[t] = fresh.direction
             events.append(t)
+        err[t] = task_errors(H[t : t + 1], gt.a[t : t + 1])[0]
 
-            if config.mode == "rr" and _should_refine(config, ledger.active_dim):
-                V_new, _cert, sol = refine(
-                    ledger.raw_features,
-                    config.k,
-                    config.epsilon_acc,
-                    tol=config.sdp_tol,
-                    max_iters=config.sdp_max_iters,
-                    full_output=True,
+        if not passed and config.mode == "rr" and _should_refine(config, active.dim):
+            active, _cert, sol = refine(
+                raw,
+                config.k,
+                config.epsilon_acc,
+                tol=config.sdp_tol,
+                max_iters=config.sdp_max_iters,
+                full_output=True,
+            )
+            refinements += 1
+            refinement_converged = refinement_converged and sol.converged
+            stack = [col.copy() for col in active.basis.T]
+            H[: t + 1], err[: t + 1] = _project_rows(
+                H[: t + 1], active.basis, gt.a[: t + 1]
+            )
+            # every lost classifier (error 1.0) is among those relearned
+            redo = np.flatnonzero(err[: t + 1] > config.epsilon)
+            for i in redo.tolist():
+                h = learn_in_feature_space(
+                    stream, i, active, config.epsilon, config.c_s
                 )
-                refinements += 1
-                refinement_converged = refinement_converged and sol.converged
-                old_embed = {i: ledger.embed(i) for i in ledger.classifiers}
-                ledger.active = V_new
-                stack = [col.copy() for col in V_new.basis.T]
-                for i in sorted(old_embed):
-                    coeffs = V_new.basis.T @ old_embed[i]
-                    if np.linalg.norm(coeffs) < 1e-12:
-                        e = 1.0  # classifier lost entirely; force a relearn
-                    else:
-                        ledger.record(i, coeffs)
-                        e = task_error_exact(ledger.embed(i), i, gt)
-                    if e > config.epsilon:
-                        h = learn_in_feature_space(
-                            stream, i, V_new, config.epsilon, config.c_s
-                        )
-                        comb += h.samples_used
-                        ledger.record(i, h.direction)
-                        e = task_error_exact(ledger.embed(i), i, gt)
-                        relearns.append(i)
-                    err[i] = e
+                comb += h.samples_used
+                H[i] = active.basis @ h.direction
+            err[redo] = task_errors(H[redo], gt.a[redo])
+            relearns.extend(redo.tolist())
 
-        dim_curve[t] = ledger.active_dim
-        if ledger.active is not angled:  # the subspace changed this task
-            angled = ledger.active
+        dim_curve[t] = active.dim
+        if active is not angled:  # the subspace changed this task
+            angled = active
             angle = _angle_to_truth(angled, truth)
         ang_curve[t] = angle
         seen = err[: t + 1]
@@ -373,9 +356,7 @@ def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     t0 = time.perf_counter()
     gt = _resolve_problem(config, problem)
     m = config.m
-    stream = TaskStream(
-        ground_truth=gt, order=tuple(range(m)), rng_seed=config.seed
-    )
+    stream = TaskStream(ground_truth=gt, rng_seed=config.seed)
     truth = orthonormalize(list(gt.a))
 
     est = np.zeros((m, config.d))
@@ -393,16 +374,9 @@ def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
         keff = min(config.k, t + 1)
         _, _, vt = np.linalg.svd(est[: t + 1], full_matrices=False)
         B = vt[:keff].T
-        V = Subspace(basis=B)
-        fitted = (est[: t + 1] @ B) @ B.T
-        norms = np.linalg.norm(fitted, axis=1)
-        for i in range(t + 1):
-            if norms[i] < 1e-12:
-                err[i] = 1.0  # estimate orthogonal to the subspace
-            else:
-                err[i] = task_error_exact(fitted[i] / norms[i], i, gt)
+        _, err[: t + 1] = _project_rows(est[: t + 1], B, gt.a[: t + 1])
         dim_curve[t] = keff
-        ang_curve[t] = _angle_to_truth(V, truth)
+        ang_curve[t] = _angle_to_truth(Subspace(basis=B), truth)
         seen = err[: t + 1]
         acc_curve[t] = float(np.mean(1.0 - seen))
         min_curve[t] = float(np.min(1.0 - seen))

@@ -132,41 +132,3 @@ def principal_angles(F: Subspace, G: Subspace) -> AngleSpectrum:
     sines = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))
     angles = np.where(cosines**2 >= 0.5, np.arcsin(sines), np.arccos(cosines))
     return AngleSpectrum(angles=np.sort(angles)[::-1])
-
-
-def angle_vec_to_subspace(x: np.ndarray, subspace: Subspace) -> float:
-    """Angle between a nonzero vector and a subspace, in [0, pi/2]."""
-    x = np.asarray(x, dtype=float).ravel()
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:
-        raise ValueError("zero vector has no direction")
-    s = dist_to_subspace(x / nrm, subspace)
-    return float(np.arcsin(np.clip(s, -1.0, 1.0)))
-
-
-def gamma_effective_dimension(vectors, gamma: float) -> int:
-    """Size of a greedily built subset whose members each sit at angle
-    >= gamma from the span of the previously kept ones.
-
-    ``vectors`` must be unit length. At gamma == 0 this reduces to the rank
-    of the set (only exact-dependence is skipped).
-    """
-    if gamma < 0.0 or gamma > np.pi / 2:
-        raise ValueError(f"gamma must be in [0, pi/2], got {gamma}")
-    vs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not vs:
-        raise ValueError("need at least one vector")
-    for v in vs:
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise ValueError("vectors must be unit length")
-    if gamma == 0.0:
-        return int(np.linalg.matrix_rank(np.column_stack(vs), tol=DROP_TOL))
-    kept: list[np.ndarray] = []
-    span: Subspace | None = None
-    for v in vs:
-        if span is None or angle_vec_to_subspace(v, span) >= gamma:
-            kept.append(v)
-            span = orthonormalize(kept)
-            if span.dim == v.size:
-                break
-    return len(kept)

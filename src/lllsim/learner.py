@@ -74,35 +74,38 @@ def _count_mistakes(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
     return int(np.count_nonzero((x @ w.astype(x.dtype, copy=False)) * y <= 0.0))
 
 
-def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _polish(w: np.ndarray, parts) -> np.ndarray:
     """Perceptron passes toward a direction consistent with the batch.
 
-    Processes the batch in blocks, adding y*x over each block's mistakes,
-    and stops on a mistake-free epoch. The batch need not be separable when
-    the target sits outside the basis: if the epoch cap comes first, the
-    result is the first of the start and the epoch-end iterates with the
-    fewest mistakes, so it never classifies the batch worse than the start.
+    The batch is a sequence of (x, y) chunks, processed in order, each in
+    blocks; an update adds y*x over a block's mistakes, and a mistake-free
+    epoch stops the passes. The batch need not be separable when the target
+    sits outside the basis: if the epoch cap comes first, the result is the
+    first of the start and the epoch-end iterates with the fewest mistakes,
+    so it never classifies the batch worse than the start.
 
     The passes compute in x's dtype. The start object itself is returned
     when it wins, so a mistake-free start comes back unchanged.
     """
-    n = y.size
-    y = y.astype(x.dtype, copy=False)  # int64 labels would upcast to float64
+    dtype = parts[0][0].dtype
+    # int64 labels would upcast to float64
+    parts = [(x, y.astype(dtype, copy=False)) for x, y in parts]
     iterates = [w]
-    w = w.astype(x.dtype, copy=False)
+    w = w.astype(dtype, copy=False)
     for _ in range(_POLISH_EPOCHS):
         updated = False
-        for lo in range(0, n, _POLISH_BLOCK):
-            xb = x[lo : lo + _POLISH_BLOCK]
-            yb = y[lo : lo + _POLISH_BLOCK]
-            bad = (xb @ w) * yb <= 0.0
-            if bad.any():
-                w = w + yb[bad] @ xb[bad]
-                updated = True
+        for x, y in parts:
+            for lo in range(0, y.size, _POLISH_BLOCK):
+                xb = x[lo : lo + _POLISH_BLOCK]
+                yb = y[lo : lo + _POLISH_BLOCK]
+                bad = (xb @ w) * yb <= 0.0
+                if bad.any():
+                    w = w + yb[bad] @ xb[bad]
+                    updated = True
         if not updated:
             return iterates[-1]
         iterates.append(w)
-    mistakes = [_count_mistakes(v, x, y) for v in iterates]
+    mistakes = [sum(_count_mistakes(v, x, y) for x, y in parts) for v in iterates]
     return iterates[mistakes.index(min(mistakes))]
 
 
@@ -119,11 +122,15 @@ def estimate_direction(
     are reduced to their r float64 coordinates before fitting; labels still
     come from the full-dimensional sample. Without it both stages run on
     the float32 batch.
+
+    The batch is drawn in chunks of _LEARN_CHUNK rows and polished chunk by
+    chunk, so it is held once and never concatenated. _LEARN_CHUNK is a
+    multiple of _POLISH_BLOCK, so the polish blocks are those of the whole
+    batch.
     """
     dim = stream.ground_truth.d if basis is None else basis.shape[1]
     acc = np.zeros(dim)
-    parts_x = []
-    parts_y = []
+    parts = []
     done = 0
     while done < n:
         take = min(_LEARN_CHUNK, n - done)
@@ -131,14 +138,11 @@ def estimate_direction(
         z = batch.x if basis is None else batch.x @ basis
         y = batch.y.astype(z.dtype)  # int64 @ float32 would copy z to float64
         acc += y @ z
-        parts_x.append(z)
-        parts_y.append(y)
+        parts.append((z, y))
         done += take
-    if not parts_x:
+    if not parts:
         return _normalize(acc)
-    x = parts_x[0] if len(parts_x) == 1 else np.vstack(parts_x)
-    y = parts_y[0] if len(parts_y) == 1 else np.concatenate(parts_y)
-    return _normalize(_polish(acc, x, y))
+    return _normalize(_polish(acc, parts))
 
 
 def learn_halfspace(

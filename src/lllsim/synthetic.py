@@ -77,14 +77,8 @@ class TaskStream:
     """Deterministic per-task sample streams over one ground truth."""
 
     ground_truth: GroundTruth
-    order: tuple  # permutation of task indices 0..m-1
     rng_seed: int
     _batch_counters: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        m = self.ground_truth.m
-        if sorted(self.order) != list(range(m)):
-            raise ValueError("order must be a permutation of range(m)")
 
 
 def generate_problem(d: int, k: int, m: int, seed: int) -> GroundTruth:
@@ -180,21 +174,18 @@ def task_error_exact(hypothesis: np.ndarray, task: int, gt: GroundTruth) -> floa
     return disagreement_exact(hypothesis, gt.a[task])
 
 
-def save_problem(gt: GroundTruth, path) -> None:
-    """Flat text format: header `d k m seed`, then W* rows, then C* rows."""
-    with open(path, "w") as fh:
-        fh.write(f"{gt.d} {gt.k} {gt.m} {gt.seed}\n")
-        for row in gt.W_star:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-        for row in gt.C_star:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+def task_errors(H: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Row-wise disagreement theta/pi of unit hypotheses H with unit targets A.
 
-
-def load_problem(path) -> GroundTruth:
-    with open(path) as fh:
-        d, k, m, seed = (int(t) for t in fh.readline().split())
-        W = np.array([[float(t) for t in fh.readline().split()] for _ in range(k)])
-        C = np.array([[float(t) for t in fh.readline().split()] for _ in range(m)])
-    A = C @ W
-    A /= np.linalg.norm(A, axis=1)[:, None]
-    return GroundTruth(W_star=W, C_star=C, a=A, d=d, k=k, m=m, seed=seed)
+    H and A are (n, d); row i of the result is disagreement_exact(H[i], A[i])
+    up to the rounding of the dot product, which arccos amplifies near 0.
+    """
+    H = np.asarray(H, dtype=float)
+    A = np.asarray(A, dtype=float)
+    if H.ndim != 2 or H.shape != A.shape:
+        raise ValueError(f"need (n, d) arrays of one shape, got {H.shape}, {A.shape}")
+    for M in (H, A):
+        off = np.abs(np.linalg.norm(M, axis=1) - 1.0)
+        if np.any(off > _UNIT_TOL):
+            raise ValueError(f"expected unit rows, got a norm off by {off.max()}")
+    return np.arccos(np.clip(np.einsum("ij,ij->i", H, A), -1.0, 1.0)) / np.pi

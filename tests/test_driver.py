@@ -3,6 +3,7 @@ import ctypes.util
 import math
 import re
 from dataclasses import FrozenInstanceError, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lllsim.driver import (
     summary_rows,
     trial_configs,
 )
+from lllsim.geometry import orthonormalize
 from lllsim.learner import budget, mc_check_cost
 from lllsim.synthetic import GroundTruth
 
@@ -193,6 +195,78 @@ def test_threshold_refinement_is_lazier():
     assert lazy.refinement_count < eager.refinement_count
     assert lazy.feature_dim_curve.max() <= 4
     assert lazy.feature_dim_curve[-1] == 4
+
+
+# Values a fake `refine` drives rr to on RunConfig(d=40, k=3, m=30, seed=4).
+# Real refinements keep every recorded classifier within epsilon, so only a
+# fake reaches the migration's relearn and lost-classifier branches.
+_MIGRATION_D = 40
+_MIGRATION_M = 30
+_LOST_ERRORS = [
+    0.48796907173330717, 0.4841824605081071, 0.47901803737049764, 0.39251924102579283,
+    0.4698199487296316, 0.4695323136246447, 0.5138000872826521, 0.5103131875876744,
+    0.48179229005279145, 0.48173763779832657, 0.5200124319070956, 0.38741048978916215,
+    0.514341334941954, 0.4927858180541957, 0.5140802999113284, 0.48278693775058246,
+    0.4372164837020402, 0.45855140636120584, 0.45343653385059446, 0.43170223420434095,
+    0.38508695231560053, 0.3917231234514476, 0.4504561767469733, 0.4859906857397902,
+    0.4237466345983072, 0.4459718213069349, 0.41939075844799434, 0.4340198612838666,
+    0.46569283676813716, 0.4323499512070183,
+]  # fmt: skip
+_RELEARN_ERRORS = [
+    0.37855478963883343, 0.10059703985523742, 0.44517661284536003, 0.2451721262717349,
+    0.23704754773893774, 0.10626849141816591, 0.2710178711574149, 0.38634722851194636,
+    0.2995775689824417, 0.30726276410224884, 0.3188549577300642, 0.3507055662894055,
+    0.36206715338672446, 0.2753508846471836, 0.43849788980686716, 0.42572472776990444,
+    0.18776221237318302, 0.42388020787572456, 0.24044138435492715, 0.4160022854811359,
+    0.2090145719940491, 0.38818651783411223, 0.21248958279890248, 0.4655601351168911,
+    0.21708053501597666, 0.45067631751536097, 0.26719084360217604, 0.44271578700620445,
+    0.31294450951721875, 0.041689173418082336,
+]  # fmt: skip
+
+
+def _fake_refine(span):
+    def refine(features, k, epsilon, **kwargs):
+        return span(features), None, SimpleNamespace(converged=True)
+
+    return refine
+
+
+def _orthogonal_to_first(features):
+    f0 = features[0]
+    return orthonormalize([e - (e @ f0) * f0 for e in np.eye(_MIGRATION_D)[:3]])
+
+
+def _last_and_final_axis(features):
+    return orthonormalize([features[-1], np.eye(_MIGRATION_D)[-1]])
+
+
+@pytest.mark.parametrize(
+    "span, kept, samples, errors",
+    [
+        # task 0's classifier is features[0], which the span misses entirely,
+        # and no task's classifier passes after migration
+        (_orthogonal_to_first, set(), 37300, _LOST_ERRORS),
+        # task t's own fresh feature stays in the span and passes, and so do
+        # these (refinement at task t, earlier task) pairs
+        (
+            _last_and_final_axis,
+            {(7, 0), (21, 11)} | {(t, t) for t in range(_MIGRATION_M)},
+            31098,
+            _RELEARN_ERRORS,
+        ),
+    ],
+)
+def test_rr_migration_relearns(monkeypatch, span, kept, samples, errors):
+    monkeypatch.setattr(driver, "refine", _fake_refine(span))
+    m = _MIGRATION_M
+    r = run_one(RunConfig(d=_MIGRATION_D, k=3, m=m, seed=4, mode="rr"))
+    assert r.new_feature_events == tuple(range(m))
+    assert r.refinement_count == m
+    assert r.relearn_events == tuple(
+        i for t in range(m) for i in range(t + 1) if (t, i) not in kept
+    )
+    assert r.samples_total == samples
+    np.testing.assert_allclose(r.per_task_error, errors, rtol=0, atol=1e-12)
 
 
 def test_joint_prefix_dims_and_recovery():

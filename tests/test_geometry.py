@@ -6,9 +6,7 @@ import pytest
 from lllsim.geometry import (
     AngleSpectrum,
     Subspace,
-    angle_vec_to_subspace,
     dist_to_subspace,
-    gamma_effective_dimension,
     orthonormalize,
     principal_angles,
     project,
@@ -16,7 +14,6 @@ from lllsim.geometry import (
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
-E3 = np.array([0.0, 0.0, 1.0])
 
 
 def test_orthonormalize_orthonormal_input_is_own_basis():
@@ -102,33 +99,6 @@ def test_principal_angles_sorted_descending_and_in_range():
     # symmetry
     B = principal_angles(G, F)
     assert np.allclose(A.angles, B.angles, atol=1e-10)
-
-
-def test_angle_vec_to_subspace_examples():
-    S = orthonormalize([E1])
-    assert angle_vec_to_subspace(E1, S) == pytest.approx(0.0, abs=1e-12)
-    assert angle_vec_to_subspace(E2, S) == pytest.approx(math.pi / 2, abs=1e-12)
-    assert angle_vec_to_subspace(np.array([1.0, 1.0, 0.0]), S) == pytest.approx(
-        math.pi / 4, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        angle_vec_to_subspace(np.zeros(3), S)
-
-
-def test_gamma_effective_dimension_examples():
-    assert gamma_effective_dimension([E1, E2, E3], 0.1) == 3
-    third = (E1 + E2) / math.sqrt(2.0)
-    assert gamma_effective_dimension([E1, E2, third], 0.3) == 2
-    # gamma = 0 reduces to the rank of the set
-    assert gamma_effective_dimension([E1, E2, third], 0.0) == 2
-    assert gamma_effective_dimension([E1, E1, E1], 0.0) == 1
-
-
-def test_gamma_effective_dimension_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gamma_effective_dimension([E1], -0.1)
-    with pytest.raises(ValueError):
-        gamma_effective_dimension([2.0 * E1], 0.1)
 
 
 def test_pythagoras_and_idempotence_random():

@@ -6,6 +6,8 @@ import pytest
 
 from lllsim.geometry import orthonormalize
 from lllsim.learner import (
+    _LEARN_CHUNK,
+    _POLISH_BLOCK,
     C_S_DEFAULT,
     Hypothesis,
     _count_mistakes,
@@ -65,7 +67,7 @@ def test_budget_validates():
 
 def test_estimate_direction_noiseless_target():
     gt = _single_task_problem(np.eye(10)[0])
-    stream = TaskStream(ground_truth=gt, order=(0,), rng_seed=4)
+    stream = TaskStream(ground_truth=gt, rng_seed=4)
     ahat = estimate_direction(stream, task=0, n=100_000)
     assert np.linalg.norm(ahat - gt.a[0]) <= 0.02
     assert np.linalg.norm(ahat) == pytest.approx(1.0, abs=1e-12)
@@ -73,7 +75,7 @@ def test_estimate_direction_noiseless_target():
 
 def test_learn_halfspace_budget_and_unit_norm():
     gt = generate_problem(d=30, k=3, m=5, seed=2)
-    stream = TaskStream(ground_truth=gt, order=tuple(range(5)), rng_seed=2)
+    stream = TaskStream(ground_truth=gt, rng_seed=2)
     h = learn_halfspace(stream, task=1, eps_target=0.1)
     assert h.samples_used == budget(30, 0.1, C_S_DEFAULT)
     assert np.linalg.norm(h.direction) == pytest.approx(1.0, abs=1e-12)
@@ -81,7 +83,7 @@ def test_learn_halfspace_budget_and_unit_norm():
 
 def test_learn_halfspace_rejects_bad_eps():
     gt = generate_problem(d=5, k=2, m=3, seed=0)
-    stream = TaskStream(ground_truth=gt, order=(0, 1, 2), rng_seed=0)
+    stream = TaskStream(ground_truth=gt, rng_seed=0)
     with pytest.raises(ValueError):
         learn_halfspace(stream, task=0, eps_target=0.5)
 
@@ -91,7 +93,7 @@ def test_learn_halfspace_calibration():
     hits = 0
     for seed in range(100):
         gt = generate_problem(d=50, k=3, m=5, seed=seed)
-        stream = TaskStream(ground_truth=gt, order=tuple(range(5)), rng_seed=seed)
+        stream = TaskStream(ground_truth=gt, rng_seed=seed)
         h = learn_halfspace(stream, task=0, eps_target=0.1)
         if task_error_exact(h.direction, 0, gt) <= 0.1:
             hits += 1
@@ -103,7 +105,7 @@ def _polish_batch(d: int, n: int, seed: int, r: int | None = None, dtype=np.floa
     coordinates (a basis that misses the target) when r is given; x in dtype."""
     rng = np.random.default_rng(seed)
     gt = _single_task_problem(rng.standard_normal(d))
-    batch = sample_batch(TaskStream(ground_truth=gt, order=(0,), rng_seed=seed), 0, n)
+    batch = sample_batch(TaskStream(ground_truth=gt, rng_seed=seed), 0, n)
     x = batch.x
     if r is not None:
         x = x @ orthonormalize(list(rng.standard_normal((r, d)))).basis
@@ -115,7 +117,7 @@ def test_polish_separable_batch_matches_recounting_oracle():
         x, y, _ = _polish_batch(d=40, n=2000, seed=3, dtype=dtype)
         start = y @ x
         assert _count_mistakes(start, x, y) > 0  # the polish has work to do
-        w = _polish(start, x, y)
+        w = _polish(start, [(x, y)])
         assert w.dtype == dtype
         assert _count_mistakes(w, x, y) == 0
         assert np.array_equal(w, polish_with_recounts(start, x, y))
@@ -130,7 +132,7 @@ def test_polish_at_the_epoch_cap_matches_recounting_oracle(seed):
     for dtype in (np.float64, np.float32):
         x, y, _ = _polish_batch(d=20, n=400, seed=seed, r=3, dtype=dtype)
         start = y @ x
-        w = _polish(start, x, y)
+        w = _polish(start, [(x, y)])
         assert _count_mistakes(w, x, y) > 0  # a clean epoch would have ended it
         assert _count_mistakes(w, x, y) <= _count_mistakes(start, x, y)
         assert np.array_equal(w, polish_with_recounts(start, x, y))
@@ -139,9 +141,33 @@ def test_polish_at_the_epoch_cap_matches_recounting_oracle(seed):
 def test_polish_keeps_a_mistake_free_start():
     x, y, a = _polish_batch(d=30, n=1000, seed=8)
     assert _count_mistakes(a, x, y) == 0
-    w = _polish(a, x, y)
+    w = _polish(a, [(x, y)])
     assert np.array_equal(w, a)
     assert np.array_equal(w, polish_with_recounts(a, x, y))
+
+
+def test_polish_over_chunks_matches_one_batch():
+    # chunks cut at multiples of the polish block leave the blocks unchanged
+    x, y, _ = _polish_batch(d=20, n=1000, seed=9, r=3, dtype=np.float32)
+    start = y @ x
+    cut = 2 * _POLISH_BLOCK
+    w = _polish(start, [(x[:cut], y[:cut]), (x[cut:], y[cut:])])
+    assert np.array_equal(w, _polish(start, [(x, y)]))
+
+
+def test_learn_past_one_chunk_holds_the_batch_once():
+    # n spans two sample chunks; concatenating them would hold the batch twice
+    n, d = 100_000, 50
+    assert n > _LEARN_CHUNK
+    gt = generate_problem(d=d, k=1, m=1, seed=0)
+    stream = TaskStream(ground_truth=gt, rng_seed=0)
+    tracemalloc.start()
+    try:
+        estimate_direction(stream, 0, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * n * d * 4
 
 
 def test_full_d_learn_holds_one_float32_batch():
@@ -151,7 +177,7 @@ def test_full_d_learn_holds_one_float32_batch():
     n = budget(d, eps, 0.5)
     assert n == 9458
     gt = generate_problem(d=d, k=2, m=2, seed=0)
-    stream = TaskStream(ground_truth=gt, order=(0, 1), rng_seed=0)
+    stream = TaskStream(ground_truth=gt, rng_seed=0)
     tracemalloc.start()
     try:
         h = learn_halfspace(stream, task=0, eps_target=eps, c_s=0.5)
@@ -165,7 +191,7 @@ def test_full_d_learn_holds_one_float32_batch():
 def test_learn_in_feature_space_realizable():
     gt = generate_problem(d=20, k=2, m=6, seed=13)
     V = orthonormalize(list(gt.W_star))
-    stream = TaskStream(ground_truth=gt, order=tuple(range(6)), rng_seed=13)
+    stream = TaskStream(ground_truth=gt, rng_seed=13)
     h = learn_in_feature_space(stream, task=3, V=V, eps_target=0.1)
     assert h.direction.shape == (2,)
     assert h.samples_used == budget(2, 0.1, C_S_DEFAULT) == 185
@@ -178,7 +204,7 @@ def test_learn_in_feature_space_orthogonal_target():
     # target along e1, features span {e2, e3}: every candidate errs exactly 1/2
     gt = _single_task_problem(np.eye(6)[0])
     V = orthonormalize([np.eye(6)[1], np.eye(6)[2]])
-    stream = TaskStream(ground_truth=gt, order=(0,), rng_seed=7)
+    stream = TaskStream(ground_truth=gt, rng_seed=7)
     h = learn_in_feature_space(stream, task=0, V=V, eps_target=0.1)
     ambient = V.basis @ h.direction
     assert task_error_exact(ambient, 0, gt) == pytest.approx(0.5, abs=1e-12)

@@ -11,11 +11,10 @@ from lllsim.synthetic import (
     disagreement_exact,
     disagreement_mc,
     generate_problem,
-    load_problem,
     rng_substream,
     sample_batch,
-    save_problem,
     task_error_exact,
+    task_errors,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -103,7 +102,7 @@ def test_generate_problem_validates_dimensions():
 
 def test_sample_batch_labels_match_definition():
     gt = generate_problem(d=10, k=2, m=4, seed=5)
-    stream = TaskStream(ground_truth=gt, order=tuple(range(4)), rng_seed=5)
+    stream = TaskStream(ground_truth=gt, rng_seed=5)
     batch = sample_batch(stream, task=2, n=500)
     assert len(batch) == 500
     margins = batch.x @ gt.a[2] * batch.y
@@ -112,7 +111,7 @@ def test_sample_batch_labels_match_definition():
 
 def test_sample_batch_rejects_bad_args():
     gt = generate_problem(d=4, k=2, m=3, seed=0)
-    stream = TaskStream(ground_truth=gt, order=(0, 1, 2), rng_seed=0)
+    stream = TaskStream(ground_truth=gt, rng_seed=0)
     with pytest.raises(ValueError):
         sample_batch(stream, task=0, n=0)
     with pytest.raises(ValueError):
@@ -121,7 +120,7 @@ def test_sample_batch_rejects_bad_args():
 
 def test_sample_batch_label_balance():
     gt = generate_problem(d=8, k=3, m=5, seed=9)
-    stream = TaskStream(ground_truth=gt, order=tuple(range(5)), rng_seed=9)
+    stream = TaskStream(ground_truth=gt, rng_seed=9)
     batch = sample_batch(stream, task=0, n=100_000)
     frac_pos = float(np.mean(batch.y == 1))
     assert 0.494 <= frac_pos <= 0.506
@@ -129,8 +128,8 @@ def test_sample_batch_label_balance():
 
 def test_sample_batch_deterministic_and_advancing():
     gt = generate_problem(d=6, k=2, m=3, seed=3)
-    s1 = TaskStream(ground_truth=gt, order=(0, 1, 2), rng_seed=3)
-    s2 = TaskStream(ground_truth=gt, order=(0, 1, 2), rng_seed=3)
+    s1 = TaskStream(ground_truth=gt, rng_seed=3)
+    s2 = TaskStream(ground_truth=gt, rng_seed=3)
     b1 = sample_batch(s1, task=1, n=50)
     b2 = sample_batch(s2, task=1, n=50)
     assert np.array_equal(b1.x, b2.x) and np.array_equal(b1.y, b2.y)
@@ -147,19 +146,13 @@ def test_sample_batch_is_the_float32_rounding_of_one_draw(n):
     # the blocked draw continues one generator: x is the float32 rounding of
     # a single (n, d) float64 draw of the batch's substream, y its labels
     gt = generate_problem(d=12, k=3, m=4, seed=6)
-    stream = TaskStream(ground_truth=gt, order=tuple(range(4)), rng_seed=6)
+    stream = TaskStream(ground_truth=gt, rng_seed=6)
     sample_batch(stream, task=2, n=5)
     batch = sample_batch(stream, task=2, n=n)
     x64 = rng_substream(6, NS_BATCH, 2, 1).standard_normal((n, 12))
     assert batch.x.dtype == np.float32
     assert np.array_equal(batch.x, x64.astype(np.float32))
     assert np.array_equal(batch.y, np.where(x64 @ gt.a[2] >= 0.0, 1, -1))
-
-
-def test_task_stream_validates_order():
-    gt = generate_problem(d=4, k=2, m=3, seed=0)
-    with pytest.raises(ValueError):
-        TaskStream(ground_truth=gt, order=(0, 1, 1), rng_seed=0)
 
 
 def test_task_error_exact_frozen_values():
@@ -179,6 +172,31 @@ def test_task_error_exact_frozen_values():
         task_error_exact(a, 6, gt)
 
 
+def test_task_errors_match_task_error_exact_row_by_row():
+    gt = generate_problem(d=30, k=4, m=40, seed=5)
+    H = np.random.default_rng(5).standard_normal((gt.m, gt.d))
+    H /= np.linalg.norm(H, axis=1)[:, None]
+    errs = task_errors(H, gt.a)
+    assert errs.shape == (gt.m,)
+    expect = [task_error_exact(H[i], i, gt) for i in range(gt.m)]
+    np.testing.assert_allclose(errs, expect, rtol=0, atol=1e-15)
+    assert task_errors(H[:0], gt.a[:0]).shape == (0,)
+
+
+def test_task_errors_rejects_non_unit_rows_and_shape_mismatch():
+    gt = generate_problem(d=12, k=3, m=6, seed=21)
+    H = gt.a.copy()
+    H[3] *= 1.0 + 1e-6
+    with pytest.raises(ValueError):
+        task_errors(H, gt.a)
+    with pytest.raises(ValueError):
+        task_errors(gt.a, H)
+    with pytest.raises(ValueError):
+        task_errors(gt.a[:5], gt.a)
+    with pytest.raises(ValueError):
+        task_errors(gt.a[0], gt.a[0])
+
+
 def test_disagreement_mc_matches_exact():
     v = (E1 + E2) / math.sqrt(2.0)
     est = disagreement_mc(E1, v, n=1_000_000, seed=0)
@@ -192,17 +210,6 @@ def test_disagreement_mc_deterministic():
     a = disagreement_mc(E1, E2, n=10_000, seed=123)
     b = disagreement_mc(E1, E2, n=10_000, seed=123)
     assert a == b
-
-
-def test_save_load_roundtrip(tmp_path):
-    gt = generate_problem(d=30, k=4, m=12, seed=77)
-    path = tmp_path / "problem.txt"
-    save_problem(gt, path)
-    back = load_problem(path)
-    assert back.d == 30 and back.k == 4 and back.m == 12 and back.seed == 77
-    assert np.array_equal(back.W_star, gt.W_star)
-    assert np.array_equal(back.C_star, gt.C_star)
-    assert np.array_equal(back.a, gt.a)
 
 
 def test_ground_truth_invariants_enforced():
