@@ -183,6 +183,24 @@ def test_task_errors_match_task_error_exact_row_by_row():
     assert task_errors(H[:0], gt.a[:0]).shape == (0,)
 
 
+def test_errors_of_a_hypothesis_equal_to_its_target_are_exactly_zero():
+    gt = generate_problem(d=30, k=4, m=40, seed=5)
+    assert np.all(task_errors(gt.a, gt.a) == 0.0)
+    assert all(task_error_exact(gt.a[i], i, gt) == 0.0 for i in range(gt.m))
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-4, 0.3, math.pi - 1e-6])
+def test_errors_are_accurate_at_every_angle(theta):
+    # arccos of the dot product reads 0 for the two smallest angles
+    e0 = np.eye(6)[0]
+    h = np.zeros(6)
+    h[0], h[1] = math.cos(theta), math.sin(theta)
+    exact = disagreement_exact(h, e0)
+    rows = task_errors(np.vstack([h, h]), np.vstack([e0, e0]))
+    for got in (exact, *rows):
+        assert got == pytest.approx(theta / math.pi, rel=1e-14, abs=0.0)
+
+
 def test_task_errors_rejects_non_unit_rows_and_shape_mismatch():
     gt = generate_problem(d=12, k=3, m=6, seed=21)
     H = gt.a.copy()
