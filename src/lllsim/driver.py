@@ -9,10 +9,11 @@ recorded classifiers into the refined basis. `joint` is the offline
 baseline: pool N samples per task, estimate every task direction in full
 dimension, and take the best rank-k subspace of the stacked estimates.
 
-Per-task classifiers are the rows of one (m, d) array of ambient unit
-vectors, all inside the active subspace. Migrating them to a refined basis
-is one projection of that array, and their errors come from one batched
-`task_errors` call.
+A new feature extends the active basis by its Gram-Schmidt residual
+(`geometry.extend`), also right after a refinement. Per-task classifiers
+are the rows of one (m, d) array of ambient unit vectors, all inside the
+active subspace. Migrating them to a refined basis is one projection of
+that array, and their errors come from one batched `task_errors` call.
 
 Every labeled sample consumed is charged to exactly one ledger phase
 (representation, combination, checking), and reports carry per-task curves
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Subspace, orthonormalize, principal_angles
+from .geometry import Subspace, extend, orthonormalize, principal_angles
 from .learner import (
     Hypothesis,
     budget,
@@ -217,12 +218,6 @@ def _project_rows(
     return P, err
 
 
-def _should_refine(config: RunConfig, active_dim: int) -> bool:
-    if config.refine_every == "on_new_feature":
-        return True
-    return active_dim > config.r_max
-
-
 def _resolve_problem(config: RunConfig, problem: GroundTruth | None) -> GroundTruth:
     if problem is None:
         return generate_problem(config.d, config.k, config.m, config.seed)
@@ -242,7 +237,6 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
 
     active: Subspace | None = None
     raw: list[np.ndarray] = []  # every full-d feature learned, in order
-    stack: list[np.ndarray] = []  # spanning vectors of the active subspace
     H = np.zeros((m, config.d))  # row t: task t's classifier, in span(active)
     err = np.full(m, np.nan)
     acc_curve = np.empty(m)
@@ -279,15 +273,15 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             fresh = learn_halfspace(stream, t, config.epsilon_acc, config.c_s)
             rep += fresh.samples_used
             raw.append(fresh.direction)
-            stack.append(fresh.direction)
-            active = orthonormalize(stack)
+            active = extend(active, fresh.direction)
             # the span only grows here, so the earlier classifiers stay in it
             # exactly and need neither migration nor a check
             H[t] = fresh.direction
             events.append(t)
         err[t] = task_errors(H[t : t + 1], gt.a[t : t + 1])[0]
 
-        if not passed and config.mode == "rr" and _should_refine(config, active.dim):
+        lazy = config.refine_every == "threshold" and active.dim <= config.r_max
+        if not passed and config.mode == "rr" and not lazy:
             active, _cert, sol = refine(
                 raw,
                 config.k,
@@ -298,7 +292,6 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             )
             refinements += 1
             refinement_converged = refinement_converged and sol.converged
-            stack = [col.copy() for col in active.basis.T]
             H[: t + 1], err[: t + 1] = _project_rows(
                 H[: t + 1], active.basis, gt.a[: t + 1]
             )

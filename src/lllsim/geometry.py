@@ -57,42 +57,44 @@ class AngleSpectrum:
         return float(self.angles[0])
 
 
-def _as_matrix(vectors) -> np.ndarray:
-    """Stack a sequence of equal-length vectors into a (d, n) column matrix."""
-    vs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not vs:
-        raise ValueError("need at least one vector")
-    d = vs[0].size
-    if any(v.size != d for v in vs):
+def extend(V: Subspace | None, v, drop_tol: float = DROP_TOL) -> Subspace | None:
+    """V with the normalized residual of ``v`` appended as one more column.
+
+    Two passes of modified Gram-Schmidt against V's columns. If the residual
+    is below ``drop_tol`` times max(|v|, 1), or V fills the space, V comes
+    back unchanged; None is the zero subspace. A column depends only on its
+    vector and the columns before it, so `orthonormalize` is this step folded.
+    """
+    v = np.array(v, dtype=float).ravel()
+    # contiguous rows: a strided dot may sum in another order
+    cols = np.empty((0, v.size)) if V is None else np.ascontiguousarray(V.basis.T)
+    if cols.shape[1] != v.size:
         raise ValueError("all vectors must share the same length")
-    return np.column_stack(vs)
+    if len(cols) == v.size:
+        return V
+    scale = max(np.linalg.norm(v), 1.0)
+    for _ in range(2):  # two passes: classic fix for loss of orthogonality
+        for q in cols:
+            v -= np.dot(q, v) * q
+    nrm = np.linalg.norm(v)
+    if nrm <= drop_tol * scale:
+        return V
+    return Subspace(basis=np.column_stack([*cols, v / nrm]))
 
 
 def orthonormalize(vectors, drop_tol: float = DROP_TOL) -> Subspace:
     """Build an orthonormal basis for the span of ``vectors``.
 
-    Modified Gram-Schmidt with a second re-orthogonalization pass for
-    numerical stability; columns whose residual falls below ``drop_tol``
-    (relative to the original column norm, with an absolute floor) are
-    dropped as dependent.
+    `extend` folded over the vectors: modified Gram-Schmidt with a second
+    re-orthogonalization pass, dropping vectors whose residual falls below
+    ``drop_tol`` (relative to their norm, with an absolute floor).
     """
-    A = _as_matrix(vectors)
-    d = A.shape[0]
-    cols: list[np.ndarray] = []
-    for j in range(A.shape[1]):
-        v = A[:, j].copy()
-        scale = max(np.linalg.norm(v), 1.0)
-        for _ in range(2):  # two passes: classic fix for loss of orthogonality
-            for q in cols:
-                v -= np.dot(q, v) * q
-        nrm = np.linalg.norm(v)
-        if nrm > drop_tol * scale:
-            cols.append(v / nrm)
-        if len(cols) == d:
-            break
-    if not cols:
+    V = None
+    for v in vectors:
+        V = extend(V, v, drop_tol)
+    if V is None:
         raise ValueError("vectors span only the zero subspace")
-    return Subspace(basis=np.column_stack(cols))
+    return V
 
 
 def project(x: np.ndarray, subspace: Subspace) -> np.ndarray:

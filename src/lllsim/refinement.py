@@ -24,9 +24,11 @@ a reduced solution extends by the identity on the orthogonal complement.
 The solution is kept in that factored form, X = Q Xr Q' + (I - QQ'), with
 Q (d, r) orthonormal and Xr (r, r): the solver, the feasibility checks and
 the rounding work on Xr, and the d x d matrix X is built only on request
-(`SdpSolution.X`, `dump_solution`). Because trace(Xr) = r - k and Xr's
-eigenvalues lie in [0, 1], at least k of them are below 1, so the rounded
-eigenvectors lie in span(Q) unless more columns are asked for than Xr has.
+(`SdpSolution.X`, `dump_solution`). k is clamped to r: r <= k gives
+X = I - QQ' at t = 0. Because trace(Xr) = r - k and Xr's eigenvalues lie in
+[0, 1], at least k of them are below 1, so the rounded eigenvectors lie in
+span(Q) unless more columns are asked for than Xr has; those are completed
+from coordinate vectors, in no fixed order.
 
 Hedge's learning rate follows AdaHedge (de Rooij, van Erven, Grunwald and
 Koolen 2014, "Follow the Leader If You Can, Hedge If You Must"): with
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Subspace, orthonormalize
+from .geometry import Subspace, extend, orthonormalize
 
 DEFAULT_TOL = 1e-4
 _FEAS_TOL = 1e-6
@@ -67,7 +69,7 @@ class SdpSolution:
     iterations: int
     gap: float  # certified optimality gap: t - best dual value
     converged: bool  # gap <= tol
-    k: int
+    k: int  # target dimension, clamped to r = rank(W)
     checkpoints: tuple  # (iteration, primal_best, dual_best, gap) rows
 
     def __post_init__(self):
@@ -123,10 +125,14 @@ def _feature_matrix(W) -> np.ndarray:
 
 
 def _complete_basis(Q: np.ndarray, extra: int) -> np.ndarray:
-    """`extra` orthonormal columns orthogonal to the columns of Q."""
+    """`extra` columns orthonormal to Q's, from e_i taken smallest |Q'e_i| first."""
     d, r = Q.shape
-    full = np.linalg.qr(np.hstack([Q, np.eye(d)]))[0]
-    return full[:, r : r + extra]
+    V = Subspace(basis=Q)
+    for i in np.argsort(np.einsum("ij,ij->i", Q, Q), kind="stable"):
+        if V.dim == r + extra:
+            break
+        V = extend(V, np.eye(1, d, i)[0])
+    return V.basis[:, r:]
 
 
 def _weighted_dual(Wt: np.ndarray, p: np.ndarray, k: int) -> float:
@@ -163,7 +169,8 @@ def solve_refinement_sdp(
     averaged weights; the solver stops once the gap reaches `tol`. Returns
     the best averaged iterate with a certified duality gap; if the gap does
     not reach `tol` within `max_iters` the solution is still feasible and
-    `converged` is False.
+    `converged` is False. k is clamped to r = rank(W): for r <= k the exact
+    optimum t = 0 comes back without iterating, with `k` = r.
     """
     A = _feature_matrix(W)
     n, d = A.shape
@@ -175,16 +182,14 @@ def solve_refinement_sdp(
     span = orthonormalize(list(A))
     Q = span.basis  # (d, r)
     r = span.dim
+    k = min(k, r)
 
-    if r <= k:
-        # every feasible direction of slack lies outside span(W): the exact
-        # optimum is t = 0 with X the identity on a (d-k)-dim complement,
-        # so Q grows to k columns and Xr is zero on them
-        if r < k:
-            Q = np.hstack([Q, _complete_basis(Q, k - r)])
+    if r == k:
+        # span(W) itself has at most k dimensions: the exact optimum is
+        # t = 0 with X = I - QQ', the identity on span(W)'s complement
         return SdpSolution(
             Q=Q,
-            Xr=np.zeros((k, k)),
+            Xr=np.zeros((r, r)),
             t=0.0,
             weights=np.full(n, 1.0 / n),
             iterations=0,
@@ -288,9 +293,10 @@ def round_sdp(sol: SdpSolution, k: int, c: int = 2, trim: bool = True) -> Subspa
     usually exactly k-dimensional on well-posed instances.
 
     X's eigenvectors are Q times Xr's, then its eigenvalue-1 complement, so
-    only Xr is decomposed. The complement is built only when more than r
-    columns are kept (`trim=False` with c*k - 1 > r); among eigenvalue-1
-    vectors the order is arbitrary, so which of them such a cut keeps is too.
+    only Xr is decomposed. The complement is built, from coordinate vectors,
+    only when more than r columns are kept (`trim=False` with c*k - 1 > r);
+    among eigenvalue-1 vectors the order is arbitrary, so which of them such
+    a cut keeps is too.
     """
     if int(c) != c or c < 2:
         raise ValueError("c must be an integer >= 2")
@@ -308,21 +314,6 @@ def round_sdp(sol: SdpSolution, k: int, c: int = 2, trim: bool = True) -> Subspa
     return Subspace(basis=_fix_signs(basis))
 
 
-def _round_and_certify(
-    A: np.ndarray, sol: SdpSolution, k: int, c: int, trim: bool, tol: float
-) -> tuple:
-    """Round the SDP solution and certify the rounded span against A's rows."""
-    V = round_sdp(sol, k, c=c, trim=trim)
-    B = V.basis
-    resid = A.T - B @ (B.T @ A.T)
-    cert = RefinementCertificate(
-        max_distance=float(np.linalg.norm(resid, axis=0).max()),
-        dims=V.dim,
-        approx_bound=math.sqrt(2.0 * max(sol.t, 0.0)) * (1.0 + tol),
-    )
-    return V, cert
-
-
 def refine(
     W,
     k: int,
@@ -333,7 +324,7 @@ def refine(
     trim: bool = True,
     full_output: bool = False,
 ):
-    """Solve + round: returns (subspace, certificate).
+    """Solve + round at the solver's clamped k: returns (subspace, certificate).
 
     When some k-dim subspace within eps_acc of every feature exists, the
     SDP value satisfies t <= eps_acc^2 + gap and the certificate bound
@@ -343,10 +334,15 @@ def refine(
     if eps_acc <= 0.0:
         raise ValueError("eps_acc must be positive")
     A = _feature_matrix(W)
-    rank = orthonormalize(list(A)).dim
-    k_eff = min(k, rank)
-    sol = solve_refinement_sdp(list(A), k_eff, max_iters=max_iters, tol=tol)
-    V, cert = _round_and_certify(A, sol, k_eff, c, trim, tol)
+    sol = solve_refinement_sdp(A, k, max_iters=max_iters, tol=tol)
+    V = round_sdp(sol, sol.k, c=c, trim=trim)
+    B = V.basis
+    resid = A.T - B @ (B.T @ A.T)
+    cert = RefinementCertificate(
+        max_distance=float(np.linalg.norm(resid, axis=0).max()),
+        dims=V.dim,
+        approx_bound=math.sqrt(2.0 * max(sol.t, 0.0)) * (1.0 + tol),
+    )
     if full_output:
         return V, cert, sol
     return V, cert

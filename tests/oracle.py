@@ -9,6 +9,10 @@ matrix X and round it with a d x d eigendecomposition, as the solver did
 before it kept X factored. The refinement tests compare the factored
 solution and its rounding against them.
 
+`gram_schmidt_loop` is the two-pass modified Gram-Schmidt over a whole
+list in one loop, as `orthonormalize` ran before it became `extend` folded
+over the list. The geometry tests compare the two bit for bit.
+
 `polish_with_recounts` is the perceptron polish that recounts the batch's
 mistakes after every epoch. The learner tests compare `_polish` against it.
 """
@@ -17,7 +21,7 @@ import math
 
 import numpy as np
 
-from lllsim.geometry import Subspace, orthonormalize
+from lllsim.geometry import DROP_TOL, Subspace, orthonormalize
 from lllsim.learner import _POLISH_BLOCK, _POLISH_EPOCHS, _count_mistakes
 from lllsim.refinement import _complete_basis, _feature_matrix, _fix_signs
 
@@ -208,6 +212,25 @@ def dense_round_sdp(X: np.ndarray, k: int, c: int = 2, trim: bool = True) -> Sub
     else:
         dims = cap
     return Subspace(basis=vecs[:, :dims])
+
+
+def gram_schmidt_loop(vectors, drop_tol: float = DROP_TOL) -> np.ndarray:
+    """(d, r) orthonormal basis of the vectors' span by one loop over the list."""
+    A = np.column_stack([np.asarray(v, dtype=float).ravel() for v in vectors])
+    d = A.shape[0]
+    cols: list[np.ndarray] = []
+    for j in range(A.shape[1]):
+        v = A[:, j].copy()
+        scale = max(np.linalg.norm(v), 1.0)
+        for _ in range(2):
+            for q in cols:
+                v -= np.dot(q, v) * q
+        nrm = np.linalg.norm(v)
+        if nrm > drop_tol * scale:
+            cols.append(v / nrm)
+        if len(cols) == d:
+            break
+    return np.column_stack(cols)
 
 
 def polish_with_recounts(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

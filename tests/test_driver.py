@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lllsim import driver
+from lllsim import driver, geometry, refinement
 from lllsim.driver import (
     REPORT_COLUMNS,
     RunConfig,
@@ -267,6 +267,25 @@ def test_rr_migration_relearns(monkeypatch, span, kept, samples, errors):
     )
     assert r.samples_total == samples
     np.testing.assert_allclose(r.per_task_error, errors, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["basic", "rr"])
+def test_one_gram_schmidt_for_the_truth_and_one_per_refinement(monkeypatch, mode):
+    # a new feature extends the active basis by one column; only the truth
+    # span and each refinement's feature span run a whole Gram-Schmidt
+    original = geometry.orthonormalize
+    calls = []
+
+    def counted(vectors, *args, **kwargs):
+        calls.append(len(vectors))
+        return original(vectors, *args, **kwargs)
+
+    for module in (geometry, driver, refinement):
+        monkeypatch.setattr(module, "orthonormalize", counted)
+    r = run_one(RunConfig(d=40, k=3, m=30, seed=4, mode=mode))
+    assert len(r.new_feature_events) > 3
+    assert r.refinement_count == (len(r.new_feature_events) if mode == "rr" else 0)
+    assert len(calls) == 1 + r.refinement_count
 
 
 def test_joint_prefix_dims_and_recovery():

@@ -7,10 +7,12 @@ from lllsim.geometry import (
     AngleSpectrum,
     Subspace,
     dist_to_subspace,
+    extend,
     orthonormalize,
     principal_angles,
     project,
 )
+from oracle import gram_schmidt_loop
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -44,6 +46,57 @@ def test_orthonormalize_rejects_empty_and_mismatched():
         orthonormalize([])
     with pytest.raises(ValueError):
         orthonormalize([E1, np.array([1.0, 0.0])])
+
+
+def _extended_one_by_one(vectors):
+    V = None
+    for v in vectors:
+        V = extend(V, v)
+    return V
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extend_one_at_a_time_is_orthonormalize_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    vs = list(rng.standard_normal((7, 50)))
+    S = _extended_one_by_one(vs)
+    assert np.array_equal(S.basis, gram_schmidt_loop(vs))
+    assert np.array_equal(S.basis, orthonormalize(vs).basis)
+    # extending a prefix's basis gives the whole list's basis
+    V = orthonormalize(vs[:4])
+    for v in vs[4:]:
+        V = extend(V, v)
+    assert np.array_equal(V.basis, S.basis)
+
+
+def test_extend_drops_an_exactly_dependent_vector():
+    rng = np.random.default_rng(11)
+    u, w = rng.standard_normal((2, 9))
+    V = orthonormalize([u, w])
+    assert extend(V, 2.0 * u) is V
+    assert extend(V, np.zeros(9)) is V
+    assert extend(None, np.zeros(9)) is None
+    vs = [u, w, 3.0 * w, rng.standard_normal(9)]
+    S = _extended_one_by_one(vs)
+    assert S.dim == 3
+    assert np.array_equal(S.basis, gram_schmidt_loop(vs))
+
+
+def test_extend_stops_once_the_space_is_full():
+    rng = np.random.default_rng(5)
+    vs = list(rng.standard_normal((6, 4)))
+    full = orthonormalize(vs[:4])
+    assert full.dim == 4
+    assert extend(full, vs[4]) is full
+    S = _extended_one_by_one(vs)
+    assert np.array_equal(S.basis, gram_schmidt_loop(vs))
+    assert np.array_equal(S.basis, full.basis)
+    assert np.allclose(S.basis.T @ S.basis, np.eye(4), atol=1e-12)
+
+
+def test_extend_rejects_a_vector_of_another_length():
+    with pytest.raises(ValueError):
+        extend(orthonormalize([E1]), np.array([1.0, 0.0]))
 
 
 def test_basis_orthonormality_invariant():

@@ -256,12 +256,7 @@ def _unit_rows(seed, n, d):
 def _factored_and_dense(W, k, sol, c=2, trim=True):
     """Round sol both ways after checking sol.X against the dense X."""
     X = dense_solution_X(W, k, sol.Xr)
-    if sol.Q.shape[1] > np.linalg.matrix_rank(W):
-        # complement columns in Q: sol.X sums them into QQ' in one product,
-        # the dense X adds their projector separately
-        np.testing.assert_allclose(sol.X, X, rtol=0.0, atol=1e-15)
-    else:
-        assert np.array_equal(sol.X, X)
+    assert np.array_equal(sol.X, X)
     V = round_sdp(sol, k, c=c, trim=trim)
     D = dense_round_sdp(X, k, c=c, trim=trim)
     assert V.dim == D.dim
@@ -287,12 +282,12 @@ def test_factored_rounding_matches_dense_gaussian_rows(trim):
 
 @pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 3)])
 def test_factored_rounding_matches_dense_at_rank_up_to_k(n, k):
-    # rank r <= k: the exact optimum, with k - r complement columns in Q
+    # rank r <= k: the exact optimum t = 0, with k clamped to r = n
     W = _unit_rows(4, n, 6)
     sol = solve_refinement_sdp(W, k)
-    assert sol.Q.shape == (6, k) and sol.t == 0.0
-    V, D, _ = _factored_and_dense(W, k, sol)
-    assert V.dim == k
+    assert sol.k == n and sol.Q.shape == (6, n) and sol.t == 0.0
+    V, D, _ = _factored_and_dense(W, sol.k, sol)
+    assert V.dim == sol.k
     assert principal_angles(V, D).max <= 1e-9
 
 
@@ -327,6 +322,32 @@ def test_refine_in_a_large_ambient_space_builds_no_d_by_d_matrix():
         tracemalloc.stop()
     assert V.ambient_dim == 2000 and V.dim <= 9
     assert peak < 8e6
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_completion_past_the_rank_builds_no_d_by_d_matrix():
+    # [e0, e1] in R^2000: completing span(Q) by a QR of [Q, I] peaked at
+    # 132 MB; extending it by coordinate vectors needs O(d k)
+    W = [np.eye(1, 2000, 0)[0], np.eye(1, 2000, 1)[0]]
+    sol = solve_refinement_sdp(W, k=2)
+    V, peak = _peak_bytes(lambda: round_sdp(sol, 2, c=3, trim=False))
+    assert peak < 8e6
+    assert V.dim == 5
+    B = V.basis
+    assert np.allclose(B.T @ B, np.eye(5), atol=1e-12)
+    assert np.allclose(sol.Q.T @ B[:, 2:], 0.0, atol=1e-12)
+    direct, peak = _peak_bytes(lambda: solve_refinement_sdp(W, k=3))
+    assert peak < 8e6
+    assert direct.k == 2 and direct.Q.shape == (2000, 2) and direct.t == 0.0
 
 
 def test_refine_planted_certificate():
