@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,11 @@ from .driver import (
     MODES,
     REFINE_MODES,
     REPORT_COLUMNS,
+    SUMMARY_COLUMNS,
     RunConfig,
     evaluate_report,
     report_rows,
     run_trials,
-    summary_columns,
     summary_rows,
 )
 from .lowerbound import (
@@ -39,7 +39,7 @@ from .lowerbound import (
     new_task_angle_stats,
     sample_complexity_ledger,
 )
-from .refinement import DEFAULT_TOL, dump_solution, refine
+from .refinement import dump_solution, refine
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -286,10 +286,8 @@ def _cmd_simulate(merged: dict) -> int:
         raise CliError(f"mode must be one of {MODES + ('all',)}, got {mode_req!r}")
     jobs = merged.get("jobs", 1)
     out_dir = _output_dir(merged)
-    base = _base_config(merged, mode="basic")
     modes = MODES if mode_req == "all" else (mode_req,)
-
-    cfgs = [replace(base, mode=mode) for mode in modes]
+    cfgs = [_base_config(merged, mode) for mode in modes]
     groups = _run_all(cfgs, jobs)
     all_rows = []
     report_lines = []
@@ -299,16 +297,14 @@ def _cmd_simulate(merged: dict) -> int:
             all_rows.extend(report_rows(rep, trial))
         table = evaluate_report(reports)
         _write_csv(
-            out_dir / f"summary_{cfg.mode}.csv",
-            summary_columns(table),
-            summary_rows(table),
+            out_dir / f"summary_{cfg.mode}.csv", SUMMARY_COLUMNS, summary_rows(table)
         )
         mode_problems = _check_invariants(cfg, reports)
         problems.extend(mode_problems)
         report_lines.extend(_mode_report_lines(cfg, reports, mode_problems))
 
     _write_csv(out_dir / "runs.csv", REPORT_COLUMNS, all_rows)
-    _echo_config(out_dir, _echoable(merged, base, mode_req))
+    _echo_config(out_dir, _echoable(merged, cfgs[0], mode_req))
     return _finish(out_dir, report_lines, problems, _converged(groups))
 
 
@@ -439,15 +435,12 @@ def _cmd_refine(merged: dict) -> int:
         )
         W = W / norms[:, None]
 
+    # only the keys given: refine() holds the defaults
+    given = {
+        key: merged[key] for key in ("c", "tol", "max_iters", "trim") if key in merged
+    }
     V, cert, sol = refine(
-        list(W),
-        k,
-        eps_acc=merged.get("eps_acc", 1.0),
-        c=merged.get("c", 2),
-        tol=merged.get("tol", DEFAULT_TOL),
-        max_iters=merged.get("max_iters"),
-        trim=merged.get("trim", True),
-        full_output=True,
+        list(W), k, eps_acc=merged.get("eps_acc", 1.0), full_output=True, **given
     )
     basis_path = out_dir / "refined_basis.txt"
     np.savetxt(basis_path, V.basis.T, fmt="%.17g")

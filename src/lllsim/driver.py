@@ -129,12 +129,25 @@ class RunConfig:
             raise ValueError(
                 f"refine_every must be one of {REFINE_MODES}, got {self.refine_every!r}"
             )
+        if self.mode == "rr" and self.k == self.d:
+            # refinement targets a proper subspace: the solver needs k < d
+            raise ValueError(f"rr mode needs k < d, got k={self.k}, d={self.d}")
         if self.refine_every == "threshold" and (
             self.r_max is None or self.r_max < 1
         ):
             raise ValueError("threshold refinement requires r_max >= 1")
         if self.sdp_tol <= 0.0:
             raise ValueError("sdp_tol must be positive")
+
+
+_CURVE_FIELDS = (
+    "per_task_error",
+    "accuracy_curve",
+    "min_accuracy_curve",
+    "feature_dim_curve",
+    "angle_curve",
+    "samples_cum_curve",
+)
 
 
 @dataclass(frozen=True)
@@ -162,13 +175,7 @@ class RunReport:
 
     def __post_init__(self):
         m = self.per_task_error.shape[0]
-        for name in (
-            "accuracy_curve",
-            "min_accuracy_curve",
-            "feature_dim_curve",
-            "angle_curve",
-            "samples_cum_curve",
-        ):
+        for name in _CURVE_FIELDS:
             if getattr(self, name).shape != (m,):
                 raise ValueError(f"{name} must have one entry per task")
         charged = (
@@ -226,32 +233,87 @@ def _resolve_problem(config: RunConfig, problem: GroundTruth | None) -> GroundTr
     return problem
 
 
+class _Recorder:
+    """One run's problem, clock and per-task record, filled one task at a time.
+
+    A run writes task errors into `err` (rr rewrites earlier entries on a
+    refinement), appends to the event lists, and calls `close` once per
+    task; `report` builds the RunReport from these and the run's ledger.
+    """
+
+    def __init__(self, config: RunConfig, problem: GroundTruth | None):
+        m = config.m
+        self.t0 = time.perf_counter()
+        self.config = config
+        self.gt = _resolve_problem(config, problem)
+        self.truth = orthonormalize(list(self.gt.a))
+        self.err = np.full(m, np.nan)
+        self.acc = np.empty(m)
+        self.min_acc = np.empty(m)
+        self.dim = np.empty(m, dtype=int)
+        self.angle = np.empty(m)
+        self.samples = np.empty(m, dtype=int)
+        self.events: list[int] = []  # tasks that learned a new feature
+        self.relearns: list[int] = []  # tasks relearned after a refinement
+        self._angled = self._angle = None  # the last subspace angled, its angle
+
+    def close(self, t: int, V: Subspace, samples: int) -> None:
+        """Task t's curve points from V, err[: t + 1] and cumulative samples."""
+        self.dim[t] = V.dim
+        if V is not self._angled:  # the subspace changed since it was angled
+            self._angled = V
+            self._angle = _angle_to_truth(V, self.truth)
+        self.angle[t] = self._angle
+        seen = 1.0 - self.err[: t + 1]
+        self.acc[t] = float(np.mean(seen))
+        self.min_acc[t] = float(np.min(seen))
+        self.samples[t] = samples
+
+    def report(
+        self,
+        rep: int,
+        comb: int = 0,
+        chk: int = 0,
+        refinements: int = 0,
+        converged: bool = True,
+    ) -> RunReport:
+        return RunReport(
+            mode=self.config.mode,
+            seed=self.config.seed,
+            per_task_error=self.err,
+            accuracy_curve=self.acc,
+            min_accuracy_curve=self.min_acc,
+            feature_dim_curve=self.dim,
+            angle_curve=self.angle,
+            samples_cum_curve=self.samples,
+            new_feature_events=tuple(self.events),
+            relearn_events=tuple(self.relearns),
+            refinement_count=refinements,
+            refinement_converged=converged,
+            samples_representation=rep,
+            samples_combination=comb,
+            samples_checking=chk,
+            samples_total=rep + comb + chk,
+            error_contract_ok=bool(np.all(self.err <= self.config.epsilon)),
+            wall_time=time.perf_counter() - self.t0,
+        )
+
+
 def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     """basic and rr: grow features on demand; rr also refines and migrates."""
-    t0 = time.perf_counter()
-    gt = _resolve_problem(config, problem)
-    m = config.m
+    rec = _Recorder(config, problem)
+    gt = rec.gt
     stream = TaskStream(ground_truth=gt, rng_seed=config.seed)
-    truth = orthonormalize(list(gt.a))
     check_rng = rng_substream(config.seed, _NS_CHECK)
 
     active: Subspace | None = None
     raw: list[np.ndarray] = []  # every full-d feature learned, in order
-    H = np.zeros((m, config.d))  # row t: task t's classifier, in span(active)
-    err = np.full(m, np.nan)
-    acc_curve = np.empty(m)
-    min_curve = np.empty(m)
-    dim_curve = np.empty(m, dtype=int)
-    ang_curve = np.empty(m)
-    cum_curve = np.empty(m, dtype=int)
-    events: list[int] = []
-    relearns: list[int] = []
+    H = np.zeros((config.m, config.d))  # row t: task t's classifier, in span(active)
     refinements = 0
     refinement_converged = True
     rep = comb = chk = 0
-    angled = angle = None  # the subspace the last angle was computed for
 
-    for t in range(m):
+    for t in range(config.m):
         passed = False
         if active is not None:
             h = learn_in_feature_space(stream, t, active, config.epsilon, config.c_s)
@@ -277,8 +339,8 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             # the span only grows here, so the earlier classifiers stay in it
             # exactly and need neither migration nor a check
             H[t] = fresh.direction
-            events.append(t)
-        err[t] = task_errors(H[t : t + 1], gt.a[t : t + 1])[0]
+            rec.events.append(t)
+        rec.err[t] = task_errors(H[t : t + 1], gt.a[t : t + 1])[0]
 
         lazy = config.refine_every == "threshold" and active.dim <= config.r_max
         if not passed and config.mode == "rr" and not lazy:
@@ -292,49 +354,24 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             )
             refinements += 1
             refinement_converged = refinement_converged and sol.converged
-            H[: t + 1], err[: t + 1] = _project_rows(
+            H[: t + 1], rec.err[: t + 1] = _project_rows(
                 H[: t + 1], active.basis, gt.a[: t + 1]
             )
             # every lost classifier (error 1.0) is among those relearned
-            redo = np.flatnonzero(err[: t + 1] > config.epsilon)
+            redo = np.flatnonzero(rec.err[: t + 1] > config.epsilon)
             for i in redo.tolist():
                 h = learn_in_feature_space(
                     stream, i, active, config.epsilon, config.c_s
                 )
                 comb += h.samples_used
                 H[i] = active.basis @ h.direction
-            err[redo] = task_errors(H[redo], gt.a[redo])
-            relearns.extend(redo.tolist())
+            rec.err[redo] = task_errors(H[redo], gt.a[redo])
+            rec.relearns.extend(redo.tolist())
 
-        dim_curve[t] = active.dim
-        if active is not angled:  # the subspace changed this task
-            angled = active
-            angle = _angle_to_truth(angled, truth)
-        ang_curve[t] = angle
-        seen = err[: t + 1]
-        acc_curve[t] = float(np.mean(1.0 - seen))
-        min_curve[t] = float(np.min(1.0 - seen))
-        cum_curve[t] = rep + comb + chk
+        rec.close(t, active, rep + comb + chk)
 
-    return RunReport(
-        mode=config.mode,
-        seed=config.seed,
-        per_task_error=err,
-        accuracy_curve=acc_curve,
-        min_accuracy_curve=min_curve,
-        feature_dim_curve=dim_curve,
-        angle_curve=ang_curve,
-        samples_cum_curve=cum_curve,
-        new_feature_events=tuple(events),
-        relearn_events=tuple(relearns),
-        refinement_count=refinements,
-        refinement_converged=refinement_converged,
-        samples_representation=rep,
-        samples_combination=comb,
-        samples_checking=chk,
-        samples_total=rep + comb + chk,
-        error_contract_ok=bool(np.all(err <= config.epsilon)),
-        wall_time=time.perf_counter() - t0,
+    return rec.report(
+        rep, comb, chk, refinements=refinements, converged=refinement_converged
     )
 
 
@@ -346,55 +383,19 @@ def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     """
     if config.N < 1:
         raise ValueError("joint mode needs N >= 1 samples per task")
-    t0 = time.perf_counter()
-    gt = _resolve_problem(config, problem)
-    m = config.m
+    rec = _Recorder(config, problem)
+    gt = rec.gt
     stream = TaskStream(ground_truth=gt, rng_seed=config.seed)
-    truth = orthonormalize(list(gt.a))
 
-    est = np.zeros((m, config.d))
-    err = np.full(m, np.nan)
-    acc_curve = np.empty(m)
-    min_curve = np.empty(m)
-    dim_curve = np.empty(m, dtype=int)
-    ang_curve = np.empty(m)
-    cum_curve = np.empty(m, dtype=int)
-    rep = 0
-
-    for t in range(m):
+    est = np.zeros((config.m, config.d))
+    for t in range(config.m):
         est[t] = estimate_direction(stream, t, config.N)
-        rep += config.N
-        keff = min(config.k, t + 1)
         _, _, vt = np.linalg.svd(est[: t + 1], full_matrices=False)
-        B = vt[:keff].T
-        _, err[: t + 1] = _project_rows(est[: t + 1], B, gt.a[: t + 1])
-        dim_curve[t] = keff
-        ang_curve[t] = _angle_to_truth(Subspace(basis=B), truth)
-        seen = err[: t + 1]
-        acc_curve[t] = float(np.mean(1.0 - seen))
-        min_curve[t] = float(np.min(1.0 - seen))
-        cum_curve[t] = rep
+        B = vt[: min(config.k, t + 1)].T
+        _, rec.err[: t + 1] = _project_rows(est[: t + 1], B, gt.a[: t + 1])
+        rec.close(t, Subspace(basis=B), (t + 1) * config.N)
 
-    return RunReport(
-        mode=config.mode,
-        seed=config.seed,
-        per_task_error=err,
-        accuracy_curve=acc_curve,
-        min_accuracy_curve=min_curve,
-        feature_dim_curve=dim_curve,
-        angle_curve=ang_curve,
-        samples_cum_curve=cum_curve,
-        new_feature_events=(),
-        relearn_events=(),
-        refinement_count=0,
-        refinement_converged=True,
-        samples_representation=rep,
-        samples_combination=0,
-        samples_checking=0,
-        samples_total=rep,
-        error_contract_ok=bool(np.all(err <= config.epsilon)),
-        wall_time=time.perf_counter() - t0,
-    )
+    return rec.report(config.m * config.N)
 
 
 def run_one(config: RunConfig, problem: GroundTruth | None = None) -> RunReport:
@@ -513,34 +514,12 @@ def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
     return grouped[0] if single else grouped
 
 
-_CURVE_FIELDS = (
-    "per_task_error",
-    "accuracy_curve",
-    "min_accuracy_curve",
-    "feature_dim_curve",
-    "angle_curve",
-    "samples_cum_curve",
-)
-_SCALAR_FIELDS = (
-    "samples_total",
-    "samples_representation",
-    "samples_combination",
-    "samples_checking",
-    "refinement_count",
-    "wall_time",
-)
-
-
 @dataclass(frozen=True)
 class SummaryTable:
     """Across-trial mean and standard deviation of every report curve."""
 
-    mode: str
-    n_trials: int
     curve_means: dict
     curve_stds: dict
-    scalar_means: dict
-    scalar_stds: dict
 
 
 def evaluate_report(reports) -> SummaryTable:
@@ -551,31 +530,13 @@ def evaluate_report(reports) -> SummaryTable:
     m = reports[0].m
     if any(r.m != m for r in reports):
         raise ValueError("mismatched curve lengths across reports")
-    modes = {r.mode for r in reports}
-    mode = modes.pop() if len(modes) == 1 else "mixed"
     curve_means = {}
     curve_stds = {}
     for name in _CURVE_FIELDS:
         stacked = np.stack([np.asarray(getattr(r, name), dtype=float) for r in reports])
         curve_means[name] = stacked.mean(axis=0)
         curve_stds[name] = stacked.std(axis=0)
-    scalar_means = {}
-    scalar_stds = {}
-    scalars = {name: [float(getattr(r, name)) for r in reports] for name in _SCALAR_FIELDS}
-    scalars["new_feature_count"] = [float(len(r.new_feature_events)) for r in reports]
-    scalars["relearn_count"] = [float(len(r.relearn_events)) for r in reports]
-    for name, vals in scalars.items():
-        arr = np.asarray(vals)
-        scalar_means[name] = float(arr.mean())
-        scalar_stds[name] = float(arr.std())
-    return SummaryTable(
-        mode=mode,
-        n_trials=len(reports),
-        curve_means=curve_means,
-        curve_stds=curve_stds,
-        scalar_means=scalar_means,
-        scalar_stds=scalar_stds,
-    )
+    return SummaryTable(curve_means=curve_means, curve_stds=curve_stds)
 
 
 REPORT_COLUMNS = (
@@ -614,12 +575,9 @@ def report_rows(report: RunReport, trial: int) -> list:
     return rows
 
 
-def summary_columns(table: SummaryTable) -> list:
-    cols = ["task_index"]
-    for name in _CURVE_FIELDS:
-        cols.append(f"mean_{name}")
-        cols.append(f"std_{name}")
-    return cols
+SUMMARY_COLUMNS = ("task_index",) + tuple(
+    f"{stat}_{name}" for name in _CURVE_FIELDS for stat in ("mean", "std")
+)
 
 
 def summary_rows(table: SummaryTable) -> list:

@@ -27,7 +27,6 @@ from .geometry import Subspace
 from .synthetic import GroundTruth, TaskStream, sample_batch, task_error_exact
 
 C_S_DEFAULT = 4.0
-_LEARN_CHUNK = 1 << 16
 _POLISH_EPOCHS = 64
 _POLISH_BLOCK = 256
 
@@ -74,38 +73,35 @@ def _count_mistakes(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
     return int(np.count_nonzero((x @ w.astype(x.dtype, copy=False)) * y <= 0.0))
 
 
-def _polish(w: np.ndarray, parts) -> np.ndarray:
-    """Perceptron passes toward a direction consistent with the batch.
+def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Perceptron passes toward a direction consistent with the batch (x, y).
 
-    The batch is a sequence of (x, y) chunks, processed in order, each in
-    blocks; an update adds y*x over a block's mistakes, and a mistake-free
-    epoch stops the passes. The batch need not be separable when the target
-    sits outside the basis: if the epoch cap comes first, the result is the
-    first of the start and the epoch-end iterates with the fewest mistakes,
-    so it never classifies the batch worse than the start.
+    Each epoch runs over the batch in blocks; an update adds y*x over a
+    block's mistakes, and a mistake-free epoch stops the passes. The batch
+    need not be separable when the target sits outside the basis: if the
+    epoch cap comes first, the result is the first of the start and the
+    epoch-end iterates with the fewest mistakes, so it never classifies the
+    batch worse than the start.
 
     The passes compute in x's dtype. The start object itself is returned
     when it wins, so a mistake-free start comes back unchanged.
     """
-    dtype = parts[0][0].dtype
-    # int64 labels would upcast to float64
-    parts = [(x, y.astype(dtype, copy=False)) for x, y in parts]
+    y = y.astype(x.dtype, copy=False)  # int64 labels would upcast to float64
     iterates = [w]
-    w = w.astype(dtype, copy=False)
+    w = w.astype(x.dtype, copy=False)
     for _ in range(_POLISH_EPOCHS):
         updated = False
-        for x, y in parts:
-            for lo in range(0, y.size, _POLISH_BLOCK):
-                xb = x[lo : lo + _POLISH_BLOCK]
-                yb = y[lo : lo + _POLISH_BLOCK]
-                bad = (xb @ w) * yb <= 0.0
-                if bad.any():
-                    w = w + yb[bad] @ xb[bad]
-                    updated = True
+        for lo in range(0, y.size, _POLISH_BLOCK):
+            xb = x[lo : lo + _POLISH_BLOCK]
+            yb = y[lo : lo + _POLISH_BLOCK]
+            bad = (xb @ w) * yb <= 0.0
+            if bad.any():
+                w = w + yb[bad] @ xb[bad]
+                updated = True
         if not updated:
             return iterates[-1]
         iterates.append(w)
-    mistakes = [sum(_count_mistakes(v, x, y) for x, y in parts) for v in iterates]
+    mistakes = [_count_mistakes(v, x, y) for v in iterates]
     return iterates[mistakes.index(min(mistakes))]
 
 
@@ -121,28 +117,12 @@ def estimate_direction(
     it. Deterministic given the stream's seed. With `basis` (d, r), inputs
     are reduced to their r float64 coordinates before fitting; labels still
     come from the full-dimensional sample. Without it both stages run on
-    the float32 batch.
-
-    The batch is drawn in chunks of _LEARN_CHUNK rows and polished chunk by
-    chunk, so it is held once and never concatenated. _LEARN_CHUNK is a
-    multiple of _POLISH_BLOCK, so the polish blocks are those of the whole
-    batch.
+    the float32 batch. The batch is one `sample_batch` draw, held once.
     """
-    dim = stream.ground_truth.d if basis is None else basis.shape[1]
-    acc = np.zeros(dim)
-    parts = []
-    done = 0
-    while done < n:
-        take = min(_LEARN_CHUNK, n - done)
-        batch = sample_batch(stream, task, take)
-        z = batch.x if basis is None else batch.x @ basis
-        y = batch.y.astype(z.dtype)  # int64 @ float32 would copy z to float64
-        acc += y @ z
-        parts.append((z, y))
-        done += take
-    if not parts:
-        return _normalize(acc)
-    return _normalize(_polish(acc, parts))
+    batch = sample_batch(stream, task, n)
+    z = batch.x if basis is None else batch.x @ basis
+    y = batch.y.astype(z.dtype)  # int64 @ float32 would copy z to float64
+    return _normalize(_polish(y @ z, z, y))
 
 
 def learn_halfspace(

@@ -148,6 +148,25 @@ def test_simulate_rejects_invalid_combination(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["rr", "all"])
+def test_simulate_rr_with_k_equal_d_exits_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, mode
+):
+    # refinement needs k < d, so the config is rejected before a trial runs
+    runs = []
+    real_run_one = driver.run_one
+    monkeypatch.setattr(
+        driver, "run_one", lambda cfg: runs.append(cfg) or real_run_one(cfg)
+    )
+    rc = run_cli(
+        "simulate", "--d", 5, "--k", 5, "--m", 30, "--mode", mode,
+        "-o", tmp_path / "x",
+    )
+    assert rc == 2
+    assert "rr mode needs k < d, got k=5, d=5" in capsys.readouterr().err
+    assert runs == []
+
+
 def test_simulate_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("d=30\nk=2\nm=10\nseed=1\n")

@@ -11,12 +11,12 @@ import pytest
 from lllsim import driver, geometry, refinement
 from lllsim.driver import (
     REPORT_COLUMNS,
+    SUMMARY_COLUMNS,
     RunConfig,
     evaluate_report,
     report_rows,
     run_one,
     run_trials,
-    summary_columns,
     summary_rows,
     trial_configs,
 )
@@ -74,6 +74,7 @@ def test_config_is_frozen():
         dict(d=10, k=2, m=5, refine_every="threshold"),  # needs r_max
         dict(d=10, k=2, m=5, refine_every="threshold", r_max=0),
         dict(d=10, k=2, m=5, sdp_tol=0.0),
+        dict(d=5, k=5, m=30, mode="rr"),  # refinement needs k < d
     ],
 )
 def test_config_validation(kwargs):
@@ -486,20 +487,15 @@ def test_limit_blas_threads_without_openblas_does_nothing(monkeypatch, library):
 def test_evaluate_report_single():
     r = run_one(RunConfig(d=15, k=2, m=8, seed=5))
     table = evaluate_report([r])
-    assert table.n_trials == 1
-    assert table.mode == "basic"
     assert np.array_equal(table.curve_means["angle_curve"], r.angle_curve)
     assert np.all(table.curve_stds["angle_curve"] == 0.0)
-    assert table.scalar_means["samples_total"] == r.samples_total
-    assert table.scalar_stds["samples_total"] == 0.0
-    assert table.scalar_means["new_feature_count"] == len(r.new_feature_events)
 
 
 def test_evaluate_report_mean_of_trials():
     reports = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=3))
     table = evaluate_report(reports)
     expect = np.mean([r.samples_total for r in reports])
-    assert table.scalar_means["samples_total"] == pytest.approx(expect)
+    assert table.curve_means["samples_cum_curve"][-1] == pytest.approx(expect)
     stacked = np.stack([r.accuracy_curve for r in reports])
     assert np.allclose(table.curve_means["accuracy_curve"], stacked.mean(axis=0))
 
@@ -511,12 +507,6 @@ def test_evaluate_report_rejects_mismatch():
         evaluate_report([a, b])
     with pytest.raises(ValueError):
         evaluate_report([])
-
-
-def test_evaluate_report_mixed_modes():
-    a = run_one(RunConfig(d=15, k=2, m=8, seed=5))
-    b = run_one(RunConfig(d=15, k=2, m=8, seed=5, mode="rr"))
-    assert evaluate_report([a, b]).mode == "mixed"
 
 
 def test_report_rows_shape_and_flags():
@@ -536,11 +526,10 @@ def test_report_rows_shape_and_flags():
 def test_summary_rows_match_columns():
     reports = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=2))
     table = evaluate_report(reports)
-    cols = summary_columns(table)
     rows = summary_rows(table)
     assert len(rows) == 8
-    assert all(len(row) == len(cols) for row in rows)
-    assert cols[0] == "task_index"
+    assert all(len(row) == len(SUMMARY_COLUMNS) for row in rows)
+    assert SUMMARY_COLUMNS[0] == "task_index"
     assert [row[0] for row in rows] == list(range(8))
 
 

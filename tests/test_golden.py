@@ -8,13 +8,14 @@ Integers (events, dimensions, sample counts) must match exactly, floats
 (errors, accuracies, angles) to 1e-12.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lllsim.driver import RunConfig, run_one
+from lllsim.driver import RunConfig, RunReport, run_one
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -83,6 +84,12 @@ def test_run_matches_golden_record(name):
         np.testing.assert_allclose(
             got[field], stored[field], rtol=0.0, atol=1e-12, err_msg=field
         )
+
+
+def test_corpus_records_every_report_field_but_wall_time():
+    recorded = set(INT_FIELDS + FLOAT_FIELDS) | {"mode", "seed", "wall_time"}
+    assert recorded == {f.name for f in dataclasses.fields(RunReport)}
+    assert len(INT_FIELDS + FLOAT_FIELDS) == len(recorded) - 3
 
 
 def test_every_golden_file_has_a_config():

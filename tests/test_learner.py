@@ -6,8 +6,6 @@ import pytest
 
 from lllsim.geometry import orthonormalize
 from lllsim.learner import (
-    _LEARN_CHUNK,
-    _POLISH_BLOCK,
     C_S_DEFAULT,
     Hypothesis,
     _count_mistakes,
@@ -117,7 +115,7 @@ def test_polish_separable_batch_matches_recounting_oracle():
         x, y, _ = _polish_batch(d=40, n=2000, seed=3, dtype=dtype)
         start = y @ x
         assert _count_mistakes(start, x, y) > 0  # the polish has work to do
-        w = _polish(start, [(x, y)])
+        w = _polish(start, x, y)
         assert w.dtype == dtype
         assert _count_mistakes(w, x, y) == 0
         assert np.array_equal(w, polish_with_recounts(start, x, y))
@@ -132,7 +130,7 @@ def test_polish_at_the_epoch_cap_matches_recounting_oracle(seed):
     for dtype in (np.float64, np.float32):
         x, y, _ = _polish_batch(d=20, n=400, seed=seed, r=3, dtype=dtype)
         start = y @ x
-        w = _polish(start, [(x, y)])
+        w = _polish(start, x, y)
         assert _count_mistakes(w, x, y) > 0  # a clean epoch would have ended it
         assert _count_mistakes(w, x, y) <= _count_mistakes(start, x, y)
         assert np.array_equal(w, polish_with_recounts(start, x, y))
@@ -141,24 +139,14 @@ def test_polish_at_the_epoch_cap_matches_recounting_oracle(seed):
 def test_polish_keeps_a_mistake_free_start():
     x, y, a = _polish_batch(d=30, n=1000, seed=8)
     assert _count_mistakes(a, x, y) == 0
-    w = _polish(a, [(x, y)])
+    w = _polish(a, x, y)
     assert np.array_equal(w, a)
     assert np.array_equal(w, polish_with_recounts(a, x, y))
 
 
-def test_polish_over_chunks_matches_one_batch():
-    # chunks cut at multiples of the polish block leave the blocks unchanged
-    x, y, _ = _polish_batch(d=20, n=1000, seed=9, r=3, dtype=np.float32)
-    start = y @ x
-    cut = 2 * _POLISH_BLOCK
-    w = _polish(start, [(x[:cut], y[:cut]), (x[cut:], y[cut:])])
-    assert np.array_equal(w, _polish(start, [(x, y)]))
-
-
 def test_learn_past_one_chunk_holds_the_batch_once():
-    # n spans two sample chunks; concatenating them would hold the batch twice
+    # a large learn holds its float32 batch once, with no copy of it
     n, d = 100_000, 50
-    assert n > _LEARN_CHUNK
     gt = generate_problem(d=d, k=1, m=1, seed=0)
     stream = TaskStream(ground_truth=gt, rng_seed=0)
     tracemalloc.start()
