@@ -35,6 +35,7 @@ from .driver import (
     summary_rows,
 )
 from .lowerbound import (
+    LedgerReport,
     build_instance,
     new_task_angle_stats,
     sample_complexity_ledger,
@@ -411,7 +412,14 @@ def _cmd_sweep(merged: dict) -> int:
 
 def _cmd_refine(merged: dict) -> int:
     _require(merged, "input", "k")
-    out_dir = _output_dir(merged)
+    for key, ok, need in (
+        ("c", merged.get("c", 2) >= 2, "an integer >= 2"),
+        ("tol", merged.get("tol", 0.0) >= 0.0, "nonnegative"),
+        ("max_iters", merged.get("max_iters", 1) >= 1, ">= 1"),
+        ("eps_acc", merged.get("eps_acc", 1.0) > 0.0, "positive"),
+    ):
+        if not ok:
+            raise CliError(f"{key} must be {need}, got {merged[key]}")
     try:
         W = np.loadtxt(merged["input"], ndmin=2)
     except (OSError, ValueError) as exc:
@@ -435,13 +443,20 @@ def _cmd_refine(merged: dict) -> int:
         )
         W = W / norms[:, None]
 
+    out_dir = _output_dir(merged)
     # only the keys given: refine() holds the defaults
     given = {
         key: merged[key] for key in ("c", "tol", "max_iters", "trim") if key in merged
     }
-    V, cert, sol = refine(
-        list(W), k, eps_acc=merged.get("eps_acc", 1.0), full_output=True, **given
-    )
+    try:
+        V, cert, sol = refine(
+            list(W), k, eps_acc=merged.get("eps_acc", 1.0), full_output=True, **given
+        )
+    except ValueError as exc:
+        # the options were checked above, so this is a broken guarantee
+        # (a failed certificate), not a configuration error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     basis_path = out_dir / "refined_basis.txt"
     np.savetxt(basis_path, V.basis.T, fmt="%.17g")
     if "dump" in merged:
@@ -468,7 +483,6 @@ def _cmd_refine(merged: dict) -> int:
 def _cmd_lowerbound(merged: dict) -> int:
     _require(merged, "k")
     k = merged["k"]
-    out_dir = _output_dir(merged)
     if "eps_vector" in merged:
         eps_vec = _parse_grid(merged["eps_vector"], float, "eps_vector")
         if len(eps_vec) != k:
@@ -482,12 +496,19 @@ def _cmd_lowerbound(merged: dict) -> int:
     trials = merged.get("trials")
     if trials is None and n_random == 0:
         trials = 200  # sensible default sample of fresh combination tasks
+    eps_target = merged.get("eps_target", 0.1)
+    uniform = [eps_target / math.sqrt(k)] * k
     try:
         instance = build_instance(k, n_random, merged.get("seed", 0), eps_vec, subset=subset)
         stats = new_task_angle_stats(instance, trials=trials)
+        ledgers = [
+            (name, sample_complexity_ledger(instance, eps_target, alloc))
+            for name, alloc in (("instance", eps_vec), ("uniform", uniform))
+        ]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
+    out_dir = _output_dir(merged)
     _write_csv(
         out_dir / "angles.csv",
         ("task_index", "angle", "threshold", "exceeds"),
@@ -496,35 +517,14 @@ def _cmd_lowerbound(merged: dict) -> int:
             for i, a in enumerate(stats.angles)
         ],
     )
-
-    eps_target = merged.get("eps_target", 0.1)
-    uniform = [eps_target / math.sqrt(k)] * k
-    ledger_rows = []
-    for name, alloc in (("instance", eps_vec), ("uniform", uniform)):
-        rep = sample_complexity_ledger(instance, eps_target, alloc)
-        ledger_rows.append(
-            [
-                name,
-                float(rep.basis_cost),
-                float(rep.new_task_cost),
-                float(rep.total),
-                int(rep.feasible),
-                float(rep.holder_bound),
-                int(rep.holder_ok),
-            ]
-        )
+    columns = [f.name for f in fields(LedgerReport)]
     _write_csv(
         out_dir / "ledger.csv",
-        (
-            "allocation",
-            "basis_cost",
-            "new_task_cost",
-            "total",
-            "feasible",
-            "holder_bound",
-            "holder_ok",
-        ),
-        ledger_rows,
+        ["allocation", *columns],
+        [
+            [name, *(_ledger_cell(getattr(rep, c)) for c in columns)]
+            for name, rep in ledgers
+        ],
     )
     _echo_config(out_dir, merged)
 
@@ -536,6 +536,11 @@ def _cmd_lowerbound(merged: dict) -> int:
     ]
     print("\n".join(lines))
     return EXIT_OK
+
+
+def _ledger_cell(value):
+    """Flags as 0/1, costs as floats."""
+    return int(value) if isinstance(value, bool) else float(value)
 
 
 def _add_keys(sub: argparse.ArgumentParser, keys: dict, choices: dict) -> None:

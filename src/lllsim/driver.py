@@ -113,6 +113,8 @@ class RunConfig:
             )
         if self.N < 0:
             raise ValueError("N must be nonnegative")
+        if self.mode == "joint" and self.N < 1:
+            raise ValueError(f"joint mode needs N >= 1 samples per task, got N={self.N}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.trials < 1:
@@ -138,6 +140,8 @@ class RunConfig:
             raise ValueError("threshold refinement requires r_max >= 1")
         if self.sdp_tol <= 0.0:
             raise ValueError("sdp_tol must be positive")
+        if self.sdp_max_iters is not None and self.sdp_max_iters < 1:
+            raise ValueError("sdp_max_iters must be >= 1")
 
 
 _CURVE_FIELDS = (
@@ -381,8 +385,6 @@ def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
 
     Curves are per-prefix so they are comparable to the sequential modes.
     """
-    if config.N < 1:
-        raise ValueError("joint mode needs N >= 1 samples per task")
     rec = _Recorder(config, problem)
     gt = rec.gt
     stream = TaskStream(ground_truth=gt, rng_seed=config.seed)

@@ -29,40 +29,42 @@ _EXHAUSTIVE_CAP = 18  # 2^18 patterns is the largest exhaustive sweep allowed
 
 @dataclass(frozen=True)
 class LowerBoundInstance:
-    """The hard task sequence: axis tasks plus Bernoulli combination tasks."""
+    """The hard task sequence in R^{k+1}: axis tasks plus Bernoulli combination
+    tasks, with coordinate k left spare for the adversary."""
 
     k: int
-    d: int  # always k + 1: one spare coordinate for the adversary
-    basis_tasks: np.ndarray  # (k, d) rows e_1..e_k
-    random_tasks: np.ndarray  # (n_random, d) normalized 0/1 combinations
     patterns: np.ndarray  # (n_random, k) the Bernoulli draws
     eps_vector: np.ndarray  # (k,) per-basis-task learner accuracy
     S: tuple  # coordinate subset the combinations are supported on
     seed: int
 
     def __post_init__(self):
-        if self.d != self.k + 1:
-            raise ValueError("instance uses d = k + 1")
         if np.any(self.eps_vector < 0.0) or np.any(self.eps_vector >= 0.5):
             raise ValueError("eps entries must lie in [0, 1/2)")
         outside = [j for j in range(self.k) if j not in set(self.S)]
-        if outside and self.random_tasks.size:
-            if np.max(np.abs(self.random_tasks[:, outside])) > 0.0:
+        if outside and self.patterns.size:
+            if np.max(np.abs(self.patterns[:, outside])) > 0.0:
                 raise ValueError("random tasks must be supported on S")
+
+    @property
+    def d(self) -> int:
+        return self.k + 1
+
+    @property
+    def basis_tasks(self) -> np.ndarray:
+        return np.eye(self.k, self.d)  # (k, d) rows e_1..e_k
+
+    @property
+    def random_tasks(self) -> np.ndarray:
+        return _tasks(self.patterns)  # (n_random, d) normalized patterns
 
     def adversarial_estimates(self) -> np.ndarray:
         """What the worst-case learner returns for each basis task."""
-        out = np.empty((self.k, self.d))
-        for i in range(self.k):
-            out[i] = adversarial_learn(
-                self.basis_tasks[i], float(self.eps_vector[i]), self.k
-            )
-        return out
+        return _adversarial_estimates(self.eps_vector)
 
     def adversarial_span(self) -> Subspace:
         """Span of the estimates for the subset S."""
-        est = self.adversarial_estimates()
-        return orthonormalize([est[i] for i in self.S])
+        return orthonormalize(self.adversarial_estimates()[list(self.S)])
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,38 @@ class LedgerReport:
     holder_ok: bool  # basis_cost >= holder_bound whenever sum eps_i^2 <= eps^2
 
 
+def _draw_patterns(rng: np.random.Generator, n: int, k: int, cols) -> np.ndarray:
+    """(n, k) Bernoulli(1/2) patterns supported on `cols`, all-zero draws redrawn.
+
+    The rows still missing are drawn as one block, its nonzero rows kept in
+    order, until n are kept. Every entry costs exactly one 32-bit draw, so
+    this takes the same stream as drawing row by row, redrawing each zero.
+    """
+    patterns = np.zeros((n, k))
+    kept = 0
+    while kept < n:
+        block = rng.integers(0, 2, size=(n - kept, len(cols)))
+        block = block[block.any(axis=1)]
+        patterns[kept : kept + len(block), cols] = block
+        kept += len(block)
+    return patterns
+
+
+def _tasks(patterns: np.ndarray) -> np.ndarray:
+    """Unit tasks in R^{k+1} for (n, k) patterns; the spare coordinate is 0."""
+    n, k = patterns.shape
+    tasks = np.zeros((n, k + 1))
+    tasks[:, :k] = patterns / np.sqrt(patterns.sum(axis=1))[:, None]
+    return tasks
+
+
+def _adversarial_estimates(eps: np.ndarray) -> np.ndarray:
+    """The learner's answer to each axis task e_i: tilted by eps_i into e_k."""
+    k = eps.size
+    axes = np.eye(k, k + 1)
+    return np.array([adversarial_learn(axes[i], float(eps[i]), k) for i in range(k)])
+
+
 def build_instance(
     k: int, n_random: int, seed: int, eps_vector, subset=None
 ) -> LowerBoundInstance:
@@ -114,28 +148,9 @@ def build_instance(
     S = tuple(range(k)) if subset is None else tuple(sorted(set(subset)))
     if not S or any(i < 0 or i >= k for i in S):
         raise ValueError("subset must be a nonempty subset of range(k)")
-    d = k + 1
     rng = rng_substream(seed, _NS_PATTERNS)
-    patterns = np.zeros((n_random, k))
-    tasks = np.zeros((n_random, d))
-    cols = list(S)
-    for j in range(n_random):
-        row = rng.integers(0, 2, size=len(cols))
-        while not row.any():
-            row = rng.integers(0, 2, size=len(cols))
-        patterns[j, cols] = row
-        tasks[j, cols] = row / math.sqrt(float(row.sum()))
-    basis = np.eye(k, d)
-    return LowerBoundInstance(
-        k=k,
-        d=d,
-        basis_tasks=basis,
-        random_tasks=tasks,
-        patterns=patterns,
-        eps_vector=eps,
-        S=S,
-        seed=seed,
-    )
+    patterns = _draw_patterns(rng, n_random, k, list(S))
+    return LowerBoundInstance(k=k, patterns=patterns, eps_vector=eps, S=S, seed=seed)
 
 
 def adversarial_subspace_angle(eps_vector) -> float:
@@ -150,25 +165,18 @@ def adversarial_subspace_angle(eps_vector) -> float:
         raise ValueError("eps_vector must be nonempty")
     if np.any(eps < 0.0) or np.any(eps >= 0.5):
         raise ValueError("eps entries must lie in [0, 1/2)")
-    k = eps.size
-    d = k + 1
-    est = [adversarial_learn(np.eye(d)[i], float(eps[i]), k) for i in range(k)]
-    V = orthonormalize(est)
-    U = orthonormalize([np.eye(d)[i] for i in range(k)])
+    V = orthonormalize(_adversarial_estimates(eps))
+    U = orthonormalize(np.eye(eps.size, eps.size + 1))
     return principal_angles(V, U).max
 
 
-def _angles_for_patterns(instance: LowerBoundInstance, patterns: np.ndarray):
-    B = instance.adversarial_span().basis  # (d, |S|)
-    tasks = patterns / np.sqrt(patterns.sum(axis=1))[:, None]
-    full = np.zeros((patterns.shape[0], instance.d))
-    full[:, : instance.k] = tasks
-    resid = full - (full @ B) @ B.T
-    s = np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0)
-    return np.arcsin(s)
+def _exceedance(instance: LowerBoundInstance, patterns: np.ndarray) -> AngleStats:
+    """Angles of the patterns' tasks to the adversarially learned span.
 
-
-def _check_balance(instance: LowerBoundInstance) -> float:
+    Requires the balance condition on eps over S: no entry above twice the
+    RMS. The exceedance threshold is (1/16) * sqrt(sum of eps_i^2 over S),
+    counted inclusively.
+    """
     eps_S = instance.eps_vector[list(instance.S)]
     rms = math.sqrt(float(np.sum(eps_S**2)) / len(instance.S))
     if np.any(eps_S > 2.0 * rms + 1e-12):
@@ -176,72 +184,56 @@ def _check_balance(instance: LowerBoundInstance) -> float:
         raise ValueError(
             f"balance condition violated: max eps {worst} exceeds 2*RMS {2 * rms}"
         )
-    return math.sqrt(float(np.sum(eps_S**2)))
+    B = instance.adversarial_span().basis  # (d, |S|)
+    resid = _tasks(patterns)
+    resid -= (resid @ B) @ B.T
+    angles = np.arcsin(np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0))
+    threshold = math.sqrt(float(np.sum(eps_S**2))) / 16.0
+    return AngleStats(
+        angles=angles,
+        threshold=threshold,
+        fraction_exceeding=float(np.mean(angles >= threshold)),
+        bound=1.0 - math.exp(-len(instance.S) / 128.0),
+    )
 
 
 def new_task_angle_stats(
     instance: LowerBoundInstance, trials: int | None = None
 ) -> AngleStats:
-    """Angles of Bernoulli combination tasks to the adversarially learned span.
+    """The exceedance statistic of Bernoulli combination tasks.
 
     With `trials` given, draws that many fresh patterns from a dedicated
     substream; otherwise evaluates the instance's own random tasks.
-    Requires the balance condition on eps over S. The exceedance threshold
-    is (1/16) * sqrt(sum of eps_i^2 over S), counted inclusively.
     """
-    norm_S = _check_balance(instance)
     if trials is None:
         if instance.patterns.shape[0] == 0:
             raise ValueError("instance has no random tasks; pass trials")
-        patterns = instance.patterns
-    else:
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        rng = rng_substream(instance.seed, _NS_TRIALS)
-        cols = list(instance.S)
-        patterns = np.zeros((trials, instance.k))
-        for j in range(trials):
-            row = rng.integers(0, 2, size=len(cols))
-            while not row.any():
-                row = rng.integers(0, 2, size=len(cols))
-            patterns[j, cols] = row
-    angles = _angles_for_patterns(instance, patterns)
-    threshold = norm_S / 16.0
-    frac = float(np.mean(angles >= threshold))
-    bound = 1.0 - math.exp(-len(instance.S) / 128.0)
-    return AngleStats(
-        angles=angles, threshold=threshold, fraction_exceeding=frac, bound=bound
-    )
+        return _exceedance(instance, instance.patterns)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = rng_substream(instance.seed, _NS_TRIALS)
+    patterns = _draw_patterns(rng, trials, instance.k, list(instance.S))
+    return _exceedance(instance, patterns)
 
 
 def exhaustive_angle_stats(instance: LowerBoundInstance) -> AngleStats:
     """Same statistic over every nonzero pattern on S (small |S| only)."""
-    norm_S = _check_balance(instance)
     s = len(instance.S)
     if s > _EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive enumeration capped at |S| <= {_EXHAUSTIVE_CAP}")
-    cols = list(instance.S)
-    ids = np.arange(1, 2**s, dtype=np.int64)
-    bits = (ids[:, None] >> np.arange(s)) & 1
-    patterns = np.zeros((ids.size, instance.k))
-    patterns[:, cols] = bits.astype(float)
-    angles = _angles_for_patterns(instance, patterns)
-    threshold = norm_S / 16.0
-    frac = float(np.mean(angles >= threshold))
-    bound = 1.0 - math.exp(-s / 128.0)
-    return AngleStats(
-        angles=angles, threshold=threshold, fraction_exceeding=frac, bound=bound
-    )
+    patterns = np.zeros((2**s - 1, instance.k))
+    patterns[:, list(instance.S)] = (np.arange(1, 2**s)[:, None] >> np.arange(s)) & 1
+    return _exceedance(instance, patterns)
 
 
 def adversarial_combination(instance: LowerBoundInstance, pattern) -> np.ndarray:
     """Adversarial answer for a combination task: the nearest unit vector
     inside the already-learned span, so the span never grows."""
     pattern = np.asarray(pattern, dtype=float).ravel()
-    if pattern.shape != (instance.k,) or not pattern.any():
+    ok = pattern.shape == (instance.k,) and np.isin(pattern, (0.0, 1.0)).all()
+    if not (ok and pattern.any()):
         raise ValueError("pattern must be a nonzero 0/1 vector of length k")
-    a = np.zeros(instance.d)
-    a[: instance.k] = pattern / math.sqrt(float(pattern.sum()))
+    a = _tasks(pattern[None, :])[0]
     B = instance.adversarial_span().basis
     proj = B @ (B.T @ a)
     nrm = np.linalg.norm(proj)
@@ -305,7 +297,7 @@ def sample_complexity_ledger(
     """
     alloc = np.asarray(allocation, dtype=float).ravel()
     basis, new = allocation_cost(
-        instance.d, instance.k, alloc, eps_target, instance.random_tasks.shape[0]
+        instance.d, instance.k, alloc, eps_target, instance.patterns.shape[0]
     )
     angle = math.atan(float(np.linalg.norm(alloc[list(instance.S)])))
     feasible = bool(angle <= eps_target)

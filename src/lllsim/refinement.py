@@ -178,6 +178,8 @@ def solve_refinement_sdp(
         raise ValueError(f"need 1 <= k < d, got k={k}, d={d}")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
+    if max_iters is not None and max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
 
     span = orthonormalize(list(A))
     Q = span.basis  # (d, r)

@@ -15,6 +15,11 @@ over the list. The geometry tests compare the two bit for bit.
 
 `polish_with_recounts` is the perceptron polish that recounts the batch's
 mistakes after every epoch. The learner tests compare `_polish` against it.
+
+`draw_patterns_loop` draws the lower-bound harness's Bernoulli patterns one
+row at a time, redrawing each all-zero row, as the harness did before it
+drew them in blocks. The lower-bound tests compare `_draw_patterns` against
+it bit for bit.
 """
 
 import math
@@ -263,3 +268,14 @@ def polish_with_recounts(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
         if n_bad < best_bad:
             best_w, best_bad = w, n_bad
     return best_w
+
+
+def draw_patterns_loop(rng: np.random.Generator, n: int, k: int, cols) -> np.ndarray:
+    """(n, k) Bernoulli(1/2) patterns on `cols`, drawn row by row, zeros redrawn."""
+    patterns = np.zeros((n, k))
+    for j in range(n):
+        row = rng.integers(0, 2, size=len(cols))
+        while not row.any():
+            row = rng.integers(0, 2, size=len(cols))
+        patterns[j, cols] = row
+    return patterns

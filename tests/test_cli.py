@@ -12,8 +12,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lllsim import cli, driver
+from lllsim import cli, driver, refinement
 from lllsim.driver import REPORT_COLUMNS, RunConfig
+from lllsim.geometry import Subspace
+from lllsim.lowerbound import LedgerReport
 
 
 def run_cli(*args):
@@ -164,6 +166,25 @@ def test_simulate_rr_with_k_equal_d_exits_2_before_any_trial(
     )
     assert rc == 2
     assert "rr mode needs k < d, got k=5, d=5" in capsys.readouterr().err
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mode", "all", "--N", 0], "joint mode needs N >= 1"),
+        (["--mode", "rr", "--sdp-max-iters", 0], "sdp_max_iters must be >= 1"),
+    ],
+    ids=["joint-N-0", "rr-sdp-max-iters-0"],
+)
+def test_simulate_config_error_exits_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    runs = []
+    monkeypatch.setattr(driver, "run_one", lambda cfg: runs.append(cfg))
+    rc = run_cli("simulate", "--d", 20, "--k", 2, "--m", 10, *flags, "-o", tmp_path / "x")
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert runs == []
 
 
@@ -446,6 +467,46 @@ def test_refine_nonconvergence_exit_4(tmp_path, capsys):
     assert "converged=no" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--c", 1, "c must be an integer >= 2, got 1"),
+        ("--tol", -1, "tol must be nonnegative, got -1.0"),
+        ("--eps-acc", 0, "eps_acc must be positive, got 0.0"),
+        ("--max-iters", 0, "max_iters must be >= 1, got 0"),
+    ],
+    ids=["c", "tol", "eps_acc", "max_iters"],
+)
+def test_refine_bad_option_exits_2_before_the_solver(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    calls = []
+    monkeypatch.setattr(
+        refinement, "solve_refinement_sdp", lambda *a, **kw: calls.append(a)
+    )
+    feats = tmp_path / "feats.txt"
+    feats.write_text("1 0 0\n0 1 0\n0 0.6 0.8\n")
+    out = tmp_path / "out"
+    rc = run_cli("refine", "--input", feats, "--k", 1, flag, value, "-o", out)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_refine_broken_certificate_is_an_invariant_failure(
+    tmp_path, capsys, monkeypatch
+):
+    # a rounding far from the features breaks the certificate's distance bound
+    monkeypatch.setattr(
+        refinement, "round_sdp", lambda sol, k, c, trim: Subspace(np.eye(2)[:, 1:])
+    )
+    feats = tmp_path / "feats.txt"
+    feats.write_text("1 0\n")
+    rc = run_cli("refine", "--input", feats, "--k", 1, "-o", tmp_path / "out")
+    assert rc == cli.EXIT_INVARIANT
+    assert "exceeds bound" in capsys.readouterr().err
+
+
 def test_refine_near_planted_converges_exit_0(tmp_path, capsys, near_planted_rows):
     feats = tmp_path / "feats.txt"
     np.savetxt(feats, near_planted_rows(1))
@@ -467,6 +528,7 @@ def test_lowerbound_writes_angles_and_ledger(tmp_path, capsys):
     assert angle_rows[0] == ["task_index", "angle", "threshold", "exceeds"]
     assert len(angle_rows) == 1 + 64
     ledger_rows = read_csv(out / "ledger.csv")
+    assert ledger_rows[0] == ["allocation"] + [f.name for f in fields(LedgerReport)]
     assert [r[0] for r in ledger_rows[1:]] == ["instance", "uniform"]
     # uniform split of the target is always feasible; holder floor matches it
     uniform = dict(zip(ledger_rows[0], ledger_rows[1 + 1]))
@@ -495,6 +557,17 @@ def test_lowerbound_rejects_out_of_range_eps(tmp_path, capsys):
     rc = run_cli("lowerbound", "--k", 4, "--eps", "0.6", "-o", tmp_path / "x")
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_target", ["0", "-0.1"])
+def test_lowerbound_bad_eps_target_exits_2_before_any_artifact(
+    tmp_path, capsys, eps_target
+):
+    out = tmp_path / "out"
+    rc = run_cli("lowerbound", "--k", 4, "--eps-target", eps_target, "-o", out)
+    assert rc == 2
+    assert "eps_target must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lowerbound_requires_k(tmp_path, capsys):

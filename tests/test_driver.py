@@ -75,6 +75,8 @@ def test_config_is_frozen():
         dict(d=10, k=2, m=5, refine_every="threshold", r_max=0),
         dict(d=10, k=2, m=5, sdp_tol=0.0),
         dict(d=5, k=5, m=30, mode="rr"),  # refinement needs k < d
+        dict(d=10, k=2, m=5, N=0, mode="joint"),  # joint pools N samples per task
+        dict(d=10, k=2, m=5, sdp_max_iters=0),
     ],
 )
 def test_config_validation(kwargs):
@@ -305,9 +307,9 @@ def test_joint_prefix_dims_and_recovery():
 
 
 def test_joint_requires_samples():
-    cfg = RunConfig(d=10, k=2, m=5, N=0, mode="joint")
-    with pytest.raises(ValueError):
-        run_one(cfg)
+    with pytest.raises(ValueError, match="joint mode needs N >= 1"):
+        RunConfig(d=10, k=2, m=5, N=0, mode="joint")
+    RunConfig(d=10, k=2, m=5, N=0, mode="rr")  # only joint draws N per task
 
 
 def test_angle_is_right_angle_until_dims_match():

@@ -6,6 +6,8 @@ import pytest
 from lllsim.geometry import dist_to_subspace
 from lllsim.lowerbound import (
     LedgerReport,
+    LowerBoundInstance,
+    _draw_patterns,
     adversarial_combination,
     adversarial_subspace_angle,
     allocation_cost,
@@ -15,6 +17,8 @@ from lllsim.lowerbound import (
     new_task_angle_stats,
     sample_complexity_ledger,
 )
+from lllsim.synthetic import rng_substream
+from oracle import draw_patterns_loop
 
 
 def test_build_instance_basic_shape():
@@ -52,6 +56,32 @@ def test_build_instance_validates():
         build_instance(k=2, n_random=1, seed=0, eps_vector=[0.1, 0.5])
     with pytest.raises(ValueError):
         build_instance(k=2, n_random=1, seed=0, eps_vector=[0.1])
+
+
+def test_block_draw_matches_row_by_row_draw_bitwise():
+    k = 16
+    redrawn = 0
+    for seed in range(60):
+        for s in (1, 2, 16):
+            cols = sorted(np.random.default_rng(seed).choice(k, s, replace=False))
+            for n in (0, 1, 7, 100):
+                a, b = rng_substream(seed, 11), rng_substream(seed, 11)
+                got = _draw_patterns(a, n, k, cols)
+                want = draw_patterns_loop(b, n, k, cols)
+                assert got.dtype == want.dtype and got.shape == (n, k)
+                assert got.tobytes() == want.tobytes()
+                # both took exactly the same stretch of the stream
+                assert np.array_equal(a.integers(0, 2**32, 4), b.integers(0, 2**32, 4))
+                first = rng_substream(seed, 11).integers(0, 2, size=(n, s))
+                redrawn += int((~first.any(axis=1)).sum())
+    assert redrawn > 0  # some cases had an all-zero row to redraw
+
+
+def test_instance_rejects_patterns_off_subset():
+    with pytest.raises(ValueError, match="supported on S"):
+        LowerBoundInstance(
+            k=5, patterns=np.eye(5)[:1], eps_vector=np.full(5, 0.1), S=(1, 3), seed=0
+        )
 
 
 def test_adversarial_angle_frozen_values():
@@ -129,6 +159,13 @@ def test_adversarial_combination_stays_in_span():
     out = adversarial_combination(inst, pattern)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
     assert dist_to_subspace(out, V) <= 1e-8
+
+
+def test_adversarial_combination_rejects_non_binary_patterns():
+    inst = build_instance(k=3, n_random=0, seed=0, eps_vector=[0.05] * 3)
+    for bad in ([0.0, 0.0, 0.0], [1.0, -1.0, 1.0], [2.0, 0.0, 0.0], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="0/1 vector"):
+            adversarial_combination(inst, bad)
 
 
 def test_find_balanced_subset_hand_trace():

@@ -176,6 +176,8 @@ def test_solver_validates():
         solve_refinement_sdp([2.0 * np.eye(3)[0]], k=1)
     with pytest.raises(ValueError):
         solve_refinement_sdp([np.eye(3)[0]], k=0)
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        solve_refinement_sdp(list(np.eye(3)), k=1, max_iters=0)
 
 
 def _manual_solution(eigvals, k):
