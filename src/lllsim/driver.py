@@ -496,7 +496,10 @@ def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
     At most min(jobs, total trials, available cores) forked worker processes
     run, each with its share, cores // workers, of the BLAS threads
     (OpenBLAS only); with one worker the trials run serially in this process.
+    Raises ValueError for jobs < 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     single = isinstance(config, RunConfig)
     groups = [trial_configs(c) for c in ((config,) if single else config)]
     cfgs = [c for group in groups for c in group]

@@ -12,7 +12,8 @@ direction generalizes at the ~d/n rate the budget formula is shaped for.
 
 Both stages compute in the inputs' dtype. A full-d learn fits the float32
 sample batch as stored, so it holds n*d*4 bytes and no float64 copy of the
-batch; an in-span learn fits the float64 coordinates x @ basis. The
+batch; an in-span learn fits a batch drawn directly in the basis's r
+float64 coordinates, n*r*8 bytes, with no d-dimensional rows at all. The
 returned direction is normalized in float64.
 """
 
@@ -114,15 +115,15 @@ def estimate_direction(
     expectation. Stage two runs perceptron passes over the drawn batch
     until it is classified without mistakes (or an epoch cap), starting
     from the accumulated sum so the updates refine rather than overwrite
-    it. Deterministic given the stream's seed. With `basis` (d, r), inputs
-    are reduced to their r float64 coordinates before fitting; labels still
-    come from the full-dimensional sample. Without it both stages run on
-    the float32 batch. The batch is one `sample_batch` draw, held once.
+    it. Deterministic given the stream's seed. With an orthonormal `basis`
+    (d, r), `sample_batch` draws the inputs' r float64 coordinates and
+    labels of the full-dimensional law, and both stages fit those. Without
+    it both stages run on the float32 batch. The batch is one
+    `sample_batch` draw, held once.
     """
-    batch = sample_batch(stream, task, n)
-    z = batch.x if basis is None else batch.x @ basis
-    y = batch.y.astype(z.dtype)  # int64 @ float32 would copy z to float64
-    return _normalize(_polish(y @ z, z, y))
+    batch = sample_batch(stream, task, n, basis)
+    y = batch.y.astype(batch.x.dtype)  # int64 @ float32 would copy x to float64
+    return _normalize(_polish(y @ batch.x, batch.x, y))
 
 
 def learn_halfspace(

@@ -276,10 +276,10 @@ def find_balanced_subset(b, p: float, C: float) -> SubsetReport:
 def allocation_cost(d: int, k: int, allocation, eps_target: float, n_random: int):
     """Pure cost arithmetic: basis tasks at d/eps_i each, new tasks at k/eps."""
     alloc = np.asarray(allocation, dtype=float).ravel()
-    if alloc.size != k or np.any(alloc <= 0.0):
+    if alloc.size != k or not np.all((alloc > 0.0) & np.isfinite(alloc)):
         raise ValueError("allocation must give a positive eps to each basis task")
-    if eps_target <= 0.0:
-        raise ValueError("eps_target must be positive")
+    if not (0.0 < eps_target < math.inf):  # NaN fails both comparisons
+        raise ValueError("eps_target must be positive and finite")
     basis = float(d * np.sum(1.0 / alloc))
     new = float(n_random) * k / eps_target
     return basis, new

@@ -6,11 +6,15 @@ halfspace sign, and because the Gaussian is rotationally symmetric every
 error probability is the exact angle formula theta/pi, so no test-set noise
 anywhere downstream.
 
-Sample batches are stored as float32, half the memory of float64: a batch
-of n rows in R^d holds n*d*4 bytes. Each row is drawn in float64 from its
-task's counter-based substream and labeled from those float64 values, so
-the draws and labels are those of one float64 (n, d) draw; only the stored
-inputs are rounded.
+Sample batches come from one SFC64 generator per (seed, task, batch
+index). A full-d batch is drawn straight into float32, n*d*4 bytes, and
+each label is the sign of a stored row, widened to float64, against the
+target, so labels agree exactly with the inputs a learner sees. A batch
+for a learner confined to an orthonormal basis B (d, r) is drawn in its r
+float64 coordinates instead: z = B^T x and the label need only r + 1
+normals per row, since a.x = z.c + (a - Bc).x with c = B^T a, and the
+second term is Gaussian and independent of z. Problems, Monte-Carlo checks
+and the other streams use Philox substreams.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 _UNIT_TOL = 1e-8
 _MC_CHUNK = 1 << 18
-_SAMPLE_BLOCK = 256  # rows drawn in float64 at a time before rounding to float32
+_SAMPLE_BLOCK = 256  # stored float32 rows widened to float64 at a time for labeling
 
 # Substream namespaces: one per independent purpose so parallel trials and
 # repeated batches never share generator state.
@@ -65,7 +69,7 @@ class GroundTruth:
 class SampleBatch:
     """A batch of labeled samples, stored as arrays."""
 
-    x: np.ndarray  # (n, d) float32
+    x: np.ndarray  # (n, d) float32 inputs, or (n, r) float64 basis coordinates
     y: np.ndarray  # (n,) of +/-1
 
     def __len__(self) -> int:
@@ -103,12 +107,18 @@ def generate_problem(d: int, k: int, m: int, seed: int) -> GroundTruth:
     return GroundTruth(W_star=W, C_star=C, a=A, d=d, k=k, m=m, seed=seed)
 
 
-def sample_batch(stream: TaskStream, task: int, n: int) -> SampleBatch:
+def sample_batch(
+    stream: TaskStream, task: int, n: int, basis: np.ndarray | None = None
+) -> SampleBatch:
     """Draw n labeled samples for one task; repeated calls continue the stream.
 
-    The rows are drawn and labeled in float64 blocks of _SAMPLE_BLOCK rows,
-    which continue one generator, so x equals the float32 rounding of a
-    single (n, d) float64 draw and y holds that draw's labels.
+    Without `basis`, x is one float32 (n, d) standard-normal draw and y the
+    sign of each stored row, in float64, against the task vector. With an
+    orthonormal `basis` B (d, r), one (n, r + 1) float64 normal draw gives
+    the coordinates z = B^T x (columns 1..r, returned as x) and g (column
+    0) for the part of a outside B: y = sign(z.c + |a - Bc| g), c = B^T a,
+    which has the law of (B^T x, sign(a.x)) at O(n*r) time and memory. Both
+    kinds share the task's batch counter. Ties go to +1.
     """
     gt = stream.ground_truth
     if not (0 <= task < gt.m):
@@ -117,17 +127,24 @@ def sample_batch(stream: TaskStream, task: int, n: int) -> SampleBatch:
         raise ValueError("n must be >= 1")
     batch_idx = stream._batch_counters.get(task, 0)
     stream._batch_counters[task] = batch_idx + 1
-    rng = rng_substream(stream.rng_seed, NS_BATCH, task, batch_idx)
+    seq = np.random.SeedSequence([stream.rng_seed, NS_BATCH, task, batch_idx])
+    rng = np.random.Generator(np.random.SFC64(seq))
     a = gt.a[task]
+    if basis is not None:
+        c = basis.T @ a
+        gz = rng.standard_normal((n, 1 + c.size))
+        g, z = gz[:, 0], gz[:, 1:]
+        margin = z @ c + np.linalg.norm(a - basis @ c) * g
+        return SampleBatch(x=z, y=np.where(margin >= 0.0, 1, -1))
     x = np.empty((n, gt.d), dtype=np.float32)
+    rng.standard_normal(out=x, dtype=np.float32)
     y = np.empty(n, dtype=np.int64)
     block = np.empty((min(n, _SAMPLE_BLOCK), gt.d))
     for lo in range(0, n, _SAMPLE_BLOCK):
         hi = min(lo + _SAMPLE_BLOCK, n)
         rows = block[: hi - lo]
-        rng.standard_normal(out=rows)
-        y[lo:hi] = np.where(rows @ a >= 0.0, 1, -1)  # ties go to +1
-        x[lo:hi] = rows
+        np.copyto(rows, x[lo:hi])
+        y[lo:hi] = np.where(rows @ a >= 0.0, 1, -1)
     return SampleBatch(x=x, y=y)
 
 

@@ -315,6 +315,24 @@ def test_sweep_starts_one_pool(tmp_path, monkeypatch, recorded_pools, grid):
     assert recorded_pools == [(4, driver._limit_blas_threads, (2,))]
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize(
+    "command", [("simulate",), ("sweep", "--d-grid", "20,30")], ids=["simulate", "sweep"]
+)
+def test_nonpositive_jobs_exit_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, command, jobs
+):
+    def no_trial(cfg):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(driver, "run_one", no_trial)
+    rc = run_cli(
+        *command, "--d", 20, "--k", 2, "--m", 5, "--jobs", jobs, "-o", tmp_path / "x"
+    )
+    assert rc == 2
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
 def test_sweep_epsilon_grid_fits_inverse_epsilon(tmp_path):
     out = tmp_path / "out"
     rc = run_cli(
@@ -559,7 +577,7 @@ def test_lowerbound_rejects_out_of_range_eps(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps_target", ["0", "-0.1"])
+@pytest.mark.parametrize("eps_target", ["0", "-0.1", "nan", "inf"])
 def test_lowerbound_bad_eps_target_exits_2_before_any_artifact(
     tmp_path, capsys, eps_target
 ):

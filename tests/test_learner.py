@@ -125,8 +125,8 @@ def test_polish_separable_batch_matches_recounting_oracle():
 def test_polish_at_the_epoch_cap_matches_recounting_oracle(seed):
     # the target is outside the 3 coordinates kept, so the batch is not
     # separable in them and every one of the 64 epochs makes mistakes; with
-    # seed 5 no epoch beats the start, with seed 9 the fewest mistakes come
-    # after epoch 13 and again after epoch 41, and the first of the two wins
+    # seed 5 no epoch beats the start (epochs 29 and 57 tie it), with seed 9
+    # the fewest mistakes come after epochs 6, 14 and 56, and the first wins
     for dtype in (np.float64, np.float32):
         x, y, _ = _polish_batch(d=20, n=400, seed=seed, r=3, dtype=dtype)
         start = y @ x
@@ -272,3 +272,21 @@ def test_adversarial_learn_validates():
 def test_hypothesis_requires_unit_direction():
     with pytest.raises(ValueError):
         Hypothesis(direction=np.array([2.0, 0.0]), samples_used=3)
+
+
+def test_in_span_learn_draws_no_ambient_rows():
+    # an in-span learn at large d draws r + 1 coordinates per sample, so it
+    # peaks far below the n*d*4 bytes of a float32 batch in R^d
+    d, r = 2000, 5
+    gt = generate_problem(d=d, k=1, m=1, seed=1)
+    V = orthonormalize(list(np.random.default_rng(1).standard_normal((r, d))))
+    stream = TaskStream(ground_truth=gt, rng_seed=1)
+    n = budget(r, 0.02)
+    tracemalloc.start()
+    try:
+        h = learn_in_feature_space(stream, 0, V, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.samples_used == n and h.direction.shape == (r,)
+    assert peak <= n * d * 4 / 50

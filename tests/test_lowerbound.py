@@ -223,6 +223,14 @@ def test_ledger_single_task_cost():
     assert new == 0.0
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+def test_allocation_cost_needs_positive_finite_eps(bad):
+    with pytest.raises(ValueError, match="eps_target"):
+        allocation_cost(d=2, k=2, allocation=[0.1, 0.1], eps_target=bad, n_random=0)
+    with pytest.raises(ValueError, match="allocation"):
+        allocation_cost(d=2, k=2, allocation=[0.1, bad], eps_target=0.1, n_random=0)
+
+
 def test_ledger_skewed_allocation_costs_more():
     k, eps = 6, 0.12
     inst = build_instance(k=k, n_random=0, seed=1, eps_vector=[0.05] * k)

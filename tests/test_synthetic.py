@@ -11,7 +11,6 @@ from lllsim.synthetic import (
     disagreement_exact,
     disagreement_mc,
     generate_problem,
-    rng_substream,
     sample_batch,
     task_error_exact,
     task_errors,
@@ -141,18 +140,68 @@ def test_sample_batch_deterministic_and_advancing():
     assert not np.array_equal(b2.x, b4.x)
 
 
+def _batch_generator(seed: int, task: int, batch_idx: int) -> np.random.Generator:
+    seq = np.random.SeedSequence([seed, NS_BATCH, task, batch_idx])
+    return np.random.Generator(np.random.SFC64(seq))
+
+
+def _random_basis(d: int, r: int, seed: int) -> np.ndarray:
+    """Orthonormal (d, r) columns spanning a random r-dimensional subspace."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((d, r)))[0]
+
+
 @pytest.mark.parametrize("n", [1, _SAMPLE_BLOCK, 2 * _SAMPLE_BLOCK + 17])
-def test_sample_batch_is_the_float32_rounding_of_one_draw(n):
-    # the blocked draw continues one generator: x is the float32 rounding of
-    # a single (n, d) float64 draw of the batch's substream, y its labels
+def test_sample_batch_is_one_float32_draw_labeled_from_its_stored_rows(n):
+    # x is one SFC64 float32 draw of the batch's substream, and y the sign
+    # of each stored row, widened to float64, against the task vector
     gt = generate_problem(d=12, k=3, m=4, seed=6)
     stream = TaskStream(ground_truth=gt, rng_seed=6)
     sample_batch(stream, task=2, n=5)
     batch = sample_batch(stream, task=2, n=n)
-    x64 = rng_substream(6, NS_BATCH, 2, 1).standard_normal((n, 12))
+    x32 = _batch_generator(6, 2, 1).standard_normal((n, 12), dtype=np.float32)
     assert batch.x.dtype == np.float32
-    assert np.array_equal(batch.x, x64.astype(np.float32))
-    assert np.array_equal(batch.y, np.where(x64 @ gt.a[2] >= 0.0, 1, -1))
+    assert np.array_equal(batch.x, x32)
+    labels = np.where(x32.astype(np.float64) @ gt.a[2] >= 0.0, 1, -1)
+    assert np.array_equal(batch.y, labels)
+
+
+def test_in_span_and_full_batches_share_the_task_counter():
+    # an in-span draw takes batch index 0 and the full-d draw after it 1;
+    # the in-span batch is columns 1..r of one (n, r + 1) draw, column 0 is g
+    d, r = 12, 3
+    gt = generate_problem(d=d, k=3, m=4, seed=7)
+    basis = _random_basis(d, r, seed=7)
+    stream = TaskStream(ground_truth=gt, rng_seed=7)
+    span = sample_batch(stream, 1, 50, basis)
+    full = sample_batch(stream, 1, 40)
+    gz = _batch_generator(7, 1, 0).standard_normal((50, r + 1))
+    assert span.x.shape == (50, r) and span.x.dtype == np.float64
+    assert np.array_equal(span.x, gz[:, 1:])
+    c = basis.T @ gt.a[1]
+    margin = gz[:, 1:] @ c + np.linalg.norm(gt.a[1] - basis @ c) * gz[:, 0]
+    assert np.array_equal(span.y, np.where(margin >= 0.0, 1, -1))
+    x32 = _batch_generator(7, 1, 1).standard_normal((40, d), dtype=np.float32)
+    assert np.array_equal(full.x, x32)
+    assert stream._batch_counters == {1: 2}
+
+
+def test_in_span_batch_has_the_law_of_projected_gaussian_samples():
+    # z = B^T x is standard normal in R^r, and sign(z.c) with c = B^T a, the
+    # best classifier in the span, agrees with y = sign(a.x) with
+    # probability 1 - arccos(|c|)/pi; each statistic within 5 sigma
+    n, d, r = 200_000, 12, 3
+    gt = generate_problem(d=d, k=3, m=4, seed=11)
+    basis = _random_basis(d, r, seed=11)
+    batch = sample_batch(TaskStream(ground_truth=gt, rng_seed=11), 0, n, basis)
+    z = batch.x
+    assert np.all(np.abs(z.mean(axis=0)) < 5.0 / math.sqrt(n))
+    cov = z.T @ z / n
+    assert np.all(np.abs(cov - np.eye(r)) < 5.0 * math.sqrt(2.0 / n))
+    c = basis.T @ gt.a[0]
+    p = 1.0 - math.acos(np.linalg.norm(c)) / math.pi
+    assert 0.55 < p < 0.95  # neither contained in nor orthogonal to the span
+    agree = float(np.mean(np.where(z @ c >= 0.0, 1, -1) == batch.y))
+    assert abs(agree - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 def test_task_error_exact_frozen_values():
