@@ -41,6 +41,7 @@ from .lowerbound import (
     sample_complexity_ledger,
 )
 from .refinement import dump_solution, refine
+from .threads import one_blas_thread
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -585,6 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@one_blas_thread()
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -24,7 +24,6 @@ and the true task span.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -50,6 +49,7 @@ from .synthetic import (
     rng_substream,
     task_errors,
 )
+from .threads import available_cores, one_blas_thread, set_fill_share
 
 MODES = ("basic", "rr", "joint")
 CHECK_MODES = ("oracle", "montecarlo")
@@ -400,12 +400,13 @@ def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     return rec.report(config.m * config.N)
 
 
+@one_blas_thread()
 def run_one(config: RunConfig, problem: GroundTruth | None = None) -> RunReport:
     """One run of config.mode on `problem`, or on the problem config.seed plants.
 
     basic grows the feature list on demand and never refines; rr adds
     representation refinement and classifier migration; joint is the
-    offline baseline.
+    offline baseline. OpenBLAS runs at one thread for the whole run.
     """
     if config.mode == "joint":
         return _run_joint(config, problem)
@@ -424,68 +425,6 @@ def trial_configs(config: RunConfig) -> list:
     ]
 
 
-def _available_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# OpenBLAS thread-count setters, tried in this order (each has a matching
-# getter, "_get_" for "_set_"): numpy's own wheels export the scipy_openblas
-# names with the 64_ suffix of the 64-bit integer build.
-_OPENBLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def _openblas_paths() -> list:
-    """Paths of the OpenBLAS libraries mapped into this process, if readable."""
-    try:
-        with open("/proc/self/maps") as fh:
-            lines = fh.readlines()
-    except OSError:  # no procfs, e.g. macOS
-        return []
-    paths = []
-    for line in lines:
-        fields = line.split(maxsplit=5)
-        if len(fields) == 6:
-            path = fields[5].strip()
-            if "openblas" in path.lower() and path not in paths:
-                paths.append(path)
-    return paths
-
-
-def _limit_blas_threads(threads: int) -> None:
-    """Cap every loaded OpenBLAS at `threads` threads in this process.
-
-    Only lowers the count, so a smaller OPENBLAS_NUM_THREADS still holds.
-    Does nothing when no OpenBLAS, or none of its thread setters, is found
-    (MKL, Accelerate): those keep their own thread count.
-    """
-    import ctypes  # only pool workers pay for the import
-
-    for path in _openblas_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # e.g. a mapped file deleted since it was loaded
-            continue
-        for name in _OPENBLAS_SET_THREADS:
-            setter = getattr(lib, name, None)
-            getter = getattr(lib, name.replace("_set_", "_get_"), None)
-            if setter is None or getter is None:
-                continue
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            if getter() > threads:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(threads)
-            break
-
-
 def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
     """Run the trials of one config, or of a sequence of configs, in one pool.
 
@@ -494,8 +433,9 @@ def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
     sequence's order; the trials of all of them share a single pool.
 
     At most min(jobs, total trials, available cores) forked worker processes
-    run, each with its share, cores // workers, of the BLAS threads
-    (OpenBLAS only); with one worker the trials run serially in this process.
+    run, each filling full-d sample batches on its share, cores // workers,
+    of the threads and computing, like every run_one, with one OpenBLAS
+    thread; with one worker the trials run serially in this process.
     Raises ValueError for jobs < 1.
     """
     if jobs < 1:
@@ -503,14 +443,14 @@ def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
     single = isinstance(config, RunConfig)
     groups = [trial_configs(c) for c in ((config,) if single else config)]
     cfgs = [c for group in groups for c in group]
-    cores = _available_cores()
+    cores = available_cores()
     workers = min(jobs, len(cfgs), cores)
     if workers <= 1:
         reports = [run_one(c) for c in cfgs]
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
-            initializer=_limit_blas_threads,
+            initializer=set_fill_share,
             initargs=(cores // workers,),  # >= 1, since workers <= cores
         ) as pool:
             reports = list(pool.map(run_one, cfgs))

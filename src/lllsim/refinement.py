@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Subspace, extend, orthonormalize
+from .threads import one_blas_thread
 
 DEFAULT_TOL = 1e-4
 _FEAS_TOL = 1e-6
@@ -316,6 +317,7 @@ def round_sdp(sol: SdpSolution, k: int, c: int = 2, trim: bool = True) -> Subspa
     return Subspace(basis=_fix_signs(basis))
 
 
+@one_blas_thread()
 def refine(
     W,
     k: int,
@@ -331,7 +333,8 @@ def refine(
     When some k-dim subspace within eps_acc of every feature exists, the
     SDP value satisfies t <= eps_acc^2 + gap and the certificate bound
     sqrt(2 t) (1 + tol) caps the rounded max distance. With `full_output`
-    the SdpSolution is returned as a third element.
+    the SdpSolution is returned as a third element. OpenBLAS runs at one
+    thread throughout.
     """
     if eps_acc <= 0.0:
         raise ValueError("eps_acc must be positive")

@@ -6,10 +6,15 @@ halfspace sign, and because the Gaussian is rotationally symmetric every
 error probability is the exact angle formula theta/pi, so no test-set noise
 anywhere downstream.
 
-Sample batches come from one SFC64 generator per (seed, task, batch
-index). A full-d batch is drawn straight into float32, n*d*4 bytes, and
-each label is the sign of a stored row, widened to float64, against the
-target, so labels agree exactly with the inputs a learner sees. A batch
+Sample batches come from SFC64 generators seeded by (seed, task, batch
+index). A full-d batch is drawn straight into float32, n*d*4 bytes, in row
+chunks of ceil(2^18 / d) rows: chunk 0 from the batch's own SeedSequence,
+chunk i >= 1 from its i-th spawn child, each filling its rows in place.
+Up to `threads.fill_share()` threads, started and joined within the call,
+fill the chunks; the layout depends only on (n, d), so a batch is the same
+bytes at any thread count, and one of at most 2^18 values is a single
+draw. Each label is the sign of a stored row, widened to float64, against
+the target, so labels agree exactly with the inputs a learner sees. A batch
 for a learner confined to an orthonormal basis B (d, r) is drawn in its r
 float64 coordinates instead: z = B^T x and the label need only r + 1
 normals per row, since a.x = z.c + (a - Bc).x with c = B^T a, and the
@@ -19,12 +24,16 @@ and the other streams use Philox substreams.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .threads import fill_share
+
 _UNIT_TOL = 1e-8
 _MC_CHUNK = 1 << 18
+_FILL_CHUNK = 1 << 18  # float32 values per generator in a full-d batch
 _SAMPLE_BLOCK = 256  # stored float32 rows widened to float64 at a time for labeling
 
 # Substream namespaces: one per independent purpose so parallel trials and
@@ -112,8 +121,12 @@ def sample_batch(
 ) -> SampleBatch:
     """Draw n labeled samples for one task; repeated calls continue the stream.
 
-    Without `basis`, x is one float32 (n, d) standard-normal draw and y the
-    sign of each stored row, in float64, against the task vector. With an
+    Without `basis`, x is a float32 (n, d) standard-normal fill and y the
+    sign of each stored row, in float64, against the task vector. x is
+    filled in row chunks of ceil(2^18 / d) rows, chunk 0 from the batch's
+    SeedSequence and chunk i >= 1 from its i-th spawn child; when there is
+    more than one chunk, up to `fill_share()` threads started for this call
+    fill them, and all are joined before it returns. With an
     orthonormal `basis` B (d, r), one (n, r + 1) float64 normal draw gives
     the coordinates z = B^T x (columns 1..r, returned as x) and g (column
     0) for the part of a outside B: y = sign(z.c + |a - Bc| g), c = B^T a,
@@ -128,16 +141,16 @@ def sample_batch(
     batch_idx = stream._batch_counters.get(task, 0)
     stream._batch_counters[task] = batch_idx + 1
     seq = np.random.SeedSequence([stream.rng_seed, NS_BATCH, task, batch_idx])
-    rng = np.random.Generator(np.random.SFC64(seq))
     a = gt.a[task]
     if basis is not None:
+        rng = np.random.Generator(np.random.SFC64(seq))
         c = basis.T @ a
         gz = rng.standard_normal((n, 1 + c.size))
         g, z = gz[:, 0], gz[:, 1:]
         margin = z @ c + np.linalg.norm(a - basis @ c) * g
         return SampleBatch(x=z, y=np.where(margin >= 0.0, 1, -1))
     x = np.empty((n, gt.d), dtype=np.float32)
-    rng.standard_normal(out=x, dtype=np.float32)
+    _fill_standard_normal(x, seq)
     y = np.empty(n, dtype=np.int64)
     block = np.empty((min(n, _SAMPLE_BLOCK), gt.d))
     for lo in range(0, n, _SAMPLE_BLOCK):
@@ -146,6 +159,33 @@ def sample_batch(
         np.copyto(rows, x[lo:hi])
         y[lo:hi] = np.where(rows @ a >= 0.0, 1, -1)
     return SampleBatch(x=x, y=y)
+
+
+def _fill_standard_normal(x: np.ndarray, seq: np.random.SeedSequence) -> None:
+    """Fill float32 x (n, d) in place in sample_batch's chunk layout.
+
+    Thread j of t = min(fill_share(), chunks) fills chunks j, j + t, ...;
+    the calling thread is thread 0.
+    """
+    n, d = x.shape
+    rows = -(-_FILL_CHUNK // d)
+    starts = range(0, n, rows)
+    seqs = [seq, *seq.spawn(len(starts) - 1)]
+    threads = min(fill_share(), len(starts))
+
+    def fill(first: int) -> None:
+        for i in range(first, len(starts), threads):
+            rng = np.random.Generator(np.random.SFC64(seqs[i]))
+            rng.standard_normal(out=x[starts[i] : starts[i] + rows], dtype=np.float32)
+
+    if threads == 1:
+        fill(0)
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        helpers = [pool.submit(fill, first) for first in range(1, threads)]
+        fill(0)
+        for helper in helpers:
+            helper.result()
 
 
 def _check_unit_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

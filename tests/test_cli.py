@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lllsim import cli, driver, refinement
+from lllsim import cli, driver, refinement, threads
 from lllsim.driver import REPORT_COLUMNS, RunConfig
 from lllsim.geometry import Subspace
 from lllsim.lowerbound import LedgerReport
@@ -93,14 +93,14 @@ def test_simulate_mode_all_starts_one_pool(
     tmp_path, monkeypatch, recorded_pools, trials, jobs, cores, workers
 ):
     # every mode's trials share one pool of min(jobs, 3 * trials, cores)
-    monkeypatch.setattr(driver, "_available_cores", lambda: cores)
+    monkeypatch.setattr(driver, "available_cores", lambda: cores)
     rc = run_cli(
         "simulate", "--d", 30, "--k", 2, "--m", 10, "--mode", "all",
         "--trials", trials, "--jobs", jobs, "--seed", 5, "-o", tmp_path / "out",
     )
     assert rc == 0
     assert recorded_pools == [
-        (workers, driver._limit_blas_threads, (cores // workers,))
+        (workers, threads.set_fill_share, (cores // workers,))
     ]
 
 
@@ -306,13 +306,13 @@ def test_sweep_d_grid_writes_points_and_fit(tmp_path):
 )
 def test_sweep_starts_one_pool(tmp_path, monkeypatch, recorded_pools, grid):
     # every grid point's trials share one pool of min(jobs, trials, cores)
-    monkeypatch.setattr(driver, "_available_cores", lambda: 8)
+    monkeypatch.setattr(driver, "available_cores", lambda: 8)
     rc = run_cli(
         "sweep", *grid, "--d", 30, "--k", 2, "--m", 10, "--trials", 2,
         "--jobs", 4, "--seed", 1, "-o", tmp_path / "out",
     )
     assert rc == 0
-    assert recorded_pools == [(4, driver._limit_blas_threads, (2,))]
+    assert recorded_pools == [(4, threads.set_fill_share, (2,))]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

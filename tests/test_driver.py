@@ -2,13 +2,15 @@ import ctypes
 import ctypes.util
 import math
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lllsim import driver, geometry, refinement
+from lllsim import cli, driver, geometry, refinement, synthetic, threads
 from lllsim.driver import (
     REPORT_COLUMNS,
     SUMMARY_COLUMNS,
@@ -362,9 +364,9 @@ def test_run_trials_parallel_matches_serial():
 def test_run_trials_caps_workers(
     monkeypatch, recorded_pools, jobs, trials, cores, workers
 ):
-    # workers = min(jobs, trials, cores), each capped at cores // workers BLAS
-    # threads; one worker means no pool, and so no initializer, at all
-    monkeypatch.setattr(driver, "_available_cores", lambda: cores)
+    # workers = min(jobs, trials, cores), each filling batches on cores //
+    # workers threads; one worker means no pool, and so no initializer, at all
+    monkeypatch.setattr(driver, "available_cores", lambda: cores)
     monkeypatch.setattr(driver, "run_one", lambda cfg: cfg.seed)
     seeds = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=trials), jobs=jobs)
     assert seeds == list(range(5, 5 + trials))
@@ -372,7 +374,7 @@ def test_run_trials_caps_workers(
         assert recorded_pools == []
     else:
         budget = max(1, cores // workers)
-        assert recorded_pools == [(workers, driver._limit_blas_threads, (budget,))]
+        assert recorded_pools == [(workers, threads.set_fill_share, (budget,))]
 
 
 @pytest.mark.parametrize(
@@ -383,7 +385,7 @@ def test_run_trials_shares_one_pool_across_configs(
 ):
     # 2 + 3 + 1 trials: one pool of min(jobs, 6, cores) workers for all of
     # them, and the reports come back config by config, trial by trial
-    monkeypatch.setattr(driver, "_available_cores", lambda: cores)
+    monkeypatch.setattr(driver, "available_cores", lambda: cores)
     monkeypatch.setattr(driver, "run_one", lambda cfg: (cfg.mode, cfg.seed))
     cfgs = [
         RunConfig(d=15, k=2, m=8, seed=5, trials=2, mode="basic"),
@@ -399,7 +401,7 @@ def test_run_trials_shares_one_pool_across_configs(
         assert recorded_pools == []
     else:
         budget = cores // workers
-        assert recorded_pools == [(workers, driver._limit_blas_threads, (budget,))]
+        assert recorded_pools == [(workers, threads.set_fill_share, (budget,))]
 
 
 def _same_report(a, b) -> bool:
@@ -435,11 +437,11 @@ _OPENBLAS_GET_THREADS = (
 )
 
 
-def _blas_threads():
-    """This process's OpenBLAS thread count, or None if no getter is found.
+def _blas_control():
+    """(getter, setter) of this process's OpenBLAS thread count, or None.
 
-    Reads /proc/self/maps on its own, so a broken lookup in the driver
-    cannot turn the thread-cap test into a skip.
+    Reads /proc/self/maps on its own, so a broken lookup in the package
+    cannot turn the thread tests into skips.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -450,42 +452,110 @@ def _blas_threads():
         lib = ctypes.CDLL(path)
         for name in _OPENBLAS_GET_THREADS:
             getter = getattr(lib, name, None)
-            if getter is not None:
+            setter = getattr(lib, name.replace("_get_", "_set_"), None)
+            if getter is not None and setter is not None:
                 getter.argtypes = []
                 getter.restype = ctypes.c_int
-                return getter()
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return getter, setter
     return None
 
 
-def _worker_blas_threads(cfg):
-    return _blas_threads()
+def _blas_threads():
+    """This process's OpenBLAS thread count, or None if no getter is found."""
+    control = _blas_control()
+    return None if control is None else control[0]()
 
 
-def test_run_trials_workers_get_their_share_of_blas_threads(monkeypatch):
-    # a real forked pool: each worker reports the OpenBLAS threads it runs with
-    cores = driver._available_cores()
+def _worker_threads(config, problem):
+    # stands in for _run_lll inside the real run_one of a pool worker
+    return threads.fill_share(), _blas_threads()
+
+
+def test_run_trials_workers_get_their_fill_share_and_one_blas_thread(monkeypatch):
+    # a real forked pool: each worker reports, from inside run_one, the
+    # threads it fills batches on and the OpenBLAS threads it computes with
+    cores = threads.available_cores()
     if cores < 2:
         pytest.skip("one core: run_trials never starts a pool")
-    inherited = _blas_threads()
-    if inherited is None:
+    if _blas_threads() is None:
         pytest.skip("no OpenBLAS get_num_threads symbol found")
-    # the cap only lowers: workers keep a smaller OPENBLAS_NUM_THREADS
-    expected = min(inherited, max(1, cores // 2))
-    monkeypatch.setattr(driver, "run_one", _worker_blas_threads)
-    threads = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=2), jobs=2)
-    assert threads == [expected] * 2
+    monkeypatch.setattr(driver, "_run_lll", _worker_threads)
+    seen = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=2), jobs=2)
+    assert seen == [(cores // 2, 1)] * 2
 
 
-def test_limit_blas_threads_never_raises_the_count():
+def _run_cli(tmp_path):
+    out = tmp_path / "out"
+    return cli.main(["simulate", "--d", "15", "--k", "2", "--m", "8", "-o", str(out)])
+
+
+_ENTRY_POINTS = {
+    # entry point: (module, a function it calls, a call of the entry point)
+    "run_one": (driver, "_run_lll", lambda tmp: run_one(RunConfig(d=15, k=2, m=8))),
+    "refine": (
+        refinement,
+        "solve_refinement_sdp",
+        lambda tmp: refinement.refine(np.eye(4)[:3], 2, 0.5),
+    ),
+    "cli.main": (cli, "_resolve", _run_cli),
+}
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_entry_points_run_with_one_blas_thread(monkeypatch, tmp_path, entry, raises):
+    # from a raised count of 2: 1 inside, 2 again after a return or a raise
+    control = _blas_control()
+    if control is None:
+        pytest.skip("no OpenBLAS get_num_threads symbol found")
+    getter, setter = control
+    module, inner, call = _ENTRY_POINTS[entry]
+    original = getattr(module, inner)
+    inside = []
+
+    def probe(*args, **kwargs):
+        inside.append(getter())
+        if raises:
+            raise ValueError("raised inside")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, inner, probe)
+    before = getter()
+    setter(2)
+    try:
+        if raises:
+            with pytest.raises(ValueError, match="raised inside"):
+                call(tmp_path)
+        else:
+            call(tmp_path)
+        assert inside == [1]
+        assert getter() == 2
+    finally:
+        setter(before)
+
+
+@pytest.fixture
+def fresh_blas_lookup():
+    """Drops the cached OpenBLAS lookup before and after the test."""
+    threads._openblas_controls.cache_clear()
+    yield
+    threads._openblas_controls.cache_clear()
+
+
+def test_limit_blas_threads_never_raises_the_count(fresh_blas_lookup):
     before = _blas_threads()
     if before is None:
         pytest.skip("no OpenBLAS get_num_threads symbol found")
-    driver._limit_blas_threads(before + 1)
+    threads._limit_blas_threads(before + 1)
     assert _blas_threads() == before
 
 
 @pytest.mark.parametrize("library", ["none", "unloadable", "libc"])
-def test_limit_blas_threads_without_openblas_does_nothing(monkeypatch, library):
+def test_limit_blas_threads_without_openblas_does_nothing(
+    monkeypatch, fresh_blas_lookup, library
+):
     # no library found, one that cannot be loaded, or one that exports no
     # thread setter: no call, no raise
     paths = {"none": [], "unloadable": ["/nonexistent/libopenblas.so"]}.get(library)
@@ -495,9 +565,40 @@ def test_limit_blas_threads_without_openblas_does_nothing(monkeypatch, library):
             pytest.skip("libc not found")
         paths = [libc]
     before = _blas_threads()
-    monkeypatch.setattr(driver, "_openblas_paths", lambda: paths)
-    driver._limit_blas_threads(1)
+    monkeypatch.setattr(threads, "_openblas_paths", lambda: paths)
+    threads._limit_blas_threads(1)
     assert _blas_threads() == before
+
+
+class _CountingThreadPool(ThreadPoolExecutor):
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+def test_reports_and_batches_do_not_depend_on_the_fill_share(monkeypatch):
+    # a wide instance and one of its ~9.4k x 400 full-d batches, at fill
+    # shares 1 and 2: the same report and the same bytes, and every fill
+    # thread joined before sample_batch returns
+    cfg = RunConfig(d=400, k=5, m=24, mode="rr", seed=3)
+    gt = synthetic.generate_problem(cfg.d, cfg.k, cfg.m, cfg.seed)
+    monkeypatch.setattr(synthetic, "ThreadPoolExecutor", _CountingThreadPool)
+    reports, batches, pools = [], [], []
+    for share in (1, 2):
+        monkeypatch.setattr(threads, "_fill_share", share)
+        _CountingThreadPool.made = 0
+        reports.append(run_one(cfg, problem=gt))
+        stream = synthetic.TaskStream(ground_truth=gt, rng_seed=cfg.seed)
+        alive = threading.active_count()
+        batches.append(synthetic.sample_batch(stream, 0, 9400))
+        assert threading.active_count() == alive
+        pools.append(_CountingThreadPool.made)
+    assert _same_report(*reports)
+    assert batches[0].x.tobytes() == batches[1].x.tobytes()
+    assert np.array_equal(batches[0].y, batches[1].y)
+    assert pools[0] == 0 and pools[1] > 1  # share 2 filled on helper threads
 
 
 def test_evaluate_report_single():

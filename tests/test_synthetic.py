@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lllsim import threads
 from lllsim.synthetic import (
     _SAMPLE_BLOCK,
     NS_BATCH,
@@ -163,6 +164,32 @@ def test_sample_batch_is_one_float32_draw_labeled_from_its_stored_rows(n):
     assert np.array_equal(batch.x, x32)
     labels = np.where(x32.astype(np.float64) @ gt.a[2] >= 0.0, 1, -1)
     assert np.array_equal(batch.y, labels)
+
+
+@pytest.mark.parametrize("share", [1, 3])
+def test_full_batch_above_one_chunk_draws_a_generator_per_row_chunk(monkeypatch, share):
+    # rows = ceil(2^18 / d) per chunk, the last one ragged: chunk 0 is the
+    # batch's own draw, chunk i >= 1 the draw of its i-th spawn child; the
+    # in-span draw before it takes batch index 0, so this is batch 1
+    d, r = 300, 3
+    rows = -(-(1 << 18) // d)
+    n = 2 * rows + 17
+    monkeypatch.setattr(threads, "_fill_share", share)
+    gt = generate_problem(d=d, k=3, m=4, seed=8)
+    stream = TaskStream(ground_truth=gt, rng_seed=8)
+    sample_batch(stream, 2, 50, _random_basis(d, r, seed=8))
+    batch = sample_batch(stream, 2, n)
+    seq = np.random.SeedSequence([8, NS_BATCH, 2, 1])
+    gens = [seq, *seq.spawn(2)]
+    for i, lo in enumerate(range(0, n, rows)):
+        block = batch.x[lo : lo + rows]
+        rng = np.random.Generator(np.random.SFC64(gens[i]))
+        x32 = rng.standard_normal(block.shape, dtype=np.float32)
+        assert np.array_equal(block, x32)
+    assert len(block) == 17
+    labels = np.where(batch.x.astype(np.float64) @ gt.a[2] >= 0.0, 1, -1)
+    assert np.array_equal(batch.y, labels)
+    assert stream._batch_counters == {2: 2}
 
 
 def test_in_span_and_full_batches_share_the_task_counter():
