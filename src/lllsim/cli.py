@@ -197,11 +197,15 @@ def _base_config(merged: dict, mode: str) -> RunConfig:
         raise CliError(str(exc)) from exc
 
 
-def _echoable(merged: dict, cfg: RunConfig, mode: str) -> dict:
+def _run_defaults(merged: dict) -> dict:
+    """simulate and sweep keys with jobs and mode filled in when not given."""
+    return {"jobs": 1, "mode": RunConfig.mode, **merged}
+
+
+def _echoable(merged: dict, cfg: RunConfig) -> dict:
     out = dict(merged)
     out.update((k, v) for k, v in asdict(cfg).items() if v is not None)
-    out["mode"] = mode
-    out.setdefault("jobs", 1)
+    out["mode"] = merged["mode"]
     return out
 
 
@@ -283,14 +287,14 @@ def _finish(out_dir: Path, lines: list, problems: list, converged: bool) -> int:
 
 def _cmd_simulate(merged: dict) -> int:
     _require(merged, "d", "k", "m")
-    mode_req = merged.get("mode", "basic")
+    merged = _run_defaults(merged)
+    mode_req = merged["mode"]
     if mode_req not in MODES + ("all",):
         raise CliError(f"mode must be one of {MODES + ('all',)}, got {mode_req!r}")
-    jobs = merged.get("jobs", 1)
     out_dir = _output_dir(merged)
     modes = MODES if mode_req == "all" else (mode_req,)
     cfgs = [_base_config(merged, mode) for mode in modes]
-    groups = _run_all(cfgs, jobs)
+    groups = _run_all(cfgs, merged["jobs"])
     all_rows = []
     report_lines = []
     problems = []
@@ -306,7 +310,7 @@ def _cmd_simulate(merged: dict) -> int:
         report_lines.extend(_mode_report_lines(cfg, reports, mode_problems))
 
     _write_csv(out_dir / "runs.csv", REPORT_COLUMNS, all_rows)
-    _echo_config(out_dir, _echoable(merged, cfgs[0], mode_req))
+    _echo_config(out_dir, _echoable(merged, cfgs[0]))
     return _finish(out_dir, report_lines, problems, _converged(groups))
 
 
@@ -329,7 +333,8 @@ def _fit_line(xs, ys) -> tuple:
 
 def _cmd_sweep(merged: dict) -> int:
     _require(merged, "k", "m")
-    mode = merged.get("mode", "basic")
+    merged = _run_defaults(merged)
+    mode = merged["mode"]
     if mode not in MODES:
         raise CliError(f"sweep mode must be one of {MODES}, got {mode!r}")
     d_grid = (
@@ -344,7 +349,6 @@ def _cmd_sweep(merged: dict) -> int:
         raise CliError("sweep needs d_grid and/or epsilon_grid")
     if eps_grid and "d" not in merged:
         raise CliError("epsilon_grid sweep needs d")
-    jobs = merged.get("jobs", 1)
     out_dir = _output_dir(merged)
 
     # epsilon_acc is left out of the epsilon points so that it rescales with epsilon
@@ -352,7 +356,7 @@ def _cmd_sweep(merged: dict) -> int:
     free = {k: v for k, v in merged.items() if k != "epsilon_acc"}
     points += [("epsilon", e, dict(free, epsilon=e)) for e in eps_grid]
     cfgs = [_base_config(point, mode=mode) for _, _, point in points]
-    groups = _run_all(cfgs, jobs)
+    groups = _run_all(cfgs, merged["jobs"])
 
     rows = []
     lines = []
@@ -402,8 +406,6 @@ def _cmd_sweep(merged: dict) -> int:
         echo["d_grid"] = ",".join(str(d) for d in d_grid)
     if eps_grid:
         echo["epsilon_grid"] = ",".join(repr(e) for e in eps_grid)
-    echo.setdefault("jobs", 1)
-    echo["mode"] = mode
     _echo_config(out_dir, echo)
 
     lines.append("invariants: " + ("PASS" if not problems else "FAIL"))

@@ -33,8 +33,6 @@ import numpy as np
 
 from .geometry import Subspace, extend, orthonormalize, principal_angles
 from .learner import (
-    Hypothesis,
-    budget,
     check_hypothesis,
     check_hypothesis_mc,
     estimate_direction,
@@ -43,6 +41,7 @@ from .learner import (
 )
 from .refinement import refine
 from .synthetic import (
+    NS_CHECK,
     GroundTruth,
     TaskStream,
     generate_problem,
@@ -54,10 +53,6 @@ from .threads import available_cores, one_blas_thread, set_fill_share
 MODES = ("basic", "rr", "joint")
 CHECK_MODES = ("oracle", "montecarlo")
 REFINE_MODES = ("on_new_feature", "threshold")
-
-# Substream namespace for Monte-Carlo acceptance checks (disjoint from the
-# problem/batch/mc namespaces used by the synthetic module).
-_NS_CHECK = 20
 
 
 @dataclass(frozen=True)
@@ -250,7 +245,7 @@ class _Recorder:
         self.t0 = time.perf_counter()
         self.config = config
         self.gt = _resolve_problem(config, problem)
-        self.truth = orthonormalize(list(self.gt.a))
+        self.truth = orthonormalize(self.gt.W_star)
         self.err = np.full(m, np.nan)
         self.acc = np.empty(m)
         self.min_acc = np.empty(m)
@@ -308,7 +303,7 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     rec = _Recorder(config, problem)
     gt = rec.gt
     stream = TaskStream(ground_truth=gt, rng_seed=config.seed)
-    check_rng = rng_substream(config.seed, _NS_CHECK)
+    check_rng = rng_substream(config.seed, NS_CHECK)
 
     active: Subspace | None = None
     raw: list[np.ndarray] = []  # every full-d feature learned, in order
@@ -322,18 +317,13 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
         if active is not None:
             h = learn_in_feature_space(stream, t, active, config.epsilon, config.c_s)
             comb += h.samples_used
-            ambient = Hypothesis(
-                direction=active.basis @ h.direction, samples_used=h.samples_used
-            )
             if config.check_mode == "oracle":
-                passed = check_hypothesis(ambient, t, gt, config.epsilon)
+                passed = check_hypothesis(h, t, gt, config.epsilon)
             else:
-                passed, n_chk = check_hypothesis_mc(
-                    ambient, t, gt, config.epsilon, check_rng
-                )
+                passed, n_chk = check_hypothesis_mc(h, t, gt, config.epsilon, check_rng)
                 chk += n_chk
             if passed:
-                H[t] = ambient.direction
+                H[t] = h.direction
 
         if not passed:
             fresh = learn_halfspace(stream, t, config.epsilon_acc, config.c_s)
@@ -364,11 +354,9 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             # every lost classifier (error 1.0) is among those relearned
             redo = np.flatnonzero(rec.err[: t + 1] > config.epsilon)
             for i in redo.tolist():
-                h = learn_in_feature_space(
-                    stream, i, active, config.epsilon, config.c_s
-                )
+                h = learn_in_feature_space(stream, i, active, config.epsilon, config.c_s)
                 comb += h.samples_used
-                H[i] = active.basis @ h.direction
+                H[i] = h.direction
             rec.err[redo] = task_errors(H[redo], gt.a[redo])
             rec.relearns.extend(redo.tolist())
 

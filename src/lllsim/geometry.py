@@ -1,4 +1,4 @@
-"""Subspace primitives: orthonormal bases, projections, and angle computations.
+"""Subspace primitives: orthonormal bases and angle computations.
 
 Everything downstream (sampling, refinement, evaluation) speaks in terms of
 these objects, so the conventions are fixed here once: bases are column
@@ -95,23 +95,6 @@ def orthonormalize(vectors, drop_tol: float = DROP_TOL) -> Subspace:
     if V is None:
         raise ValueError("vectors span only the zero subspace")
     return V
-
-
-def project(x: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto the subspace."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != subspace.ambient_dim:
-        raise ValueError(
-            f"vector length {x.size} != ambient dimension {subspace.ambient_dim}"
-        )
-    B = subspace.basis
-    return B @ (B.T @ x)
-
-
-def dist_to_subspace(x: np.ndarray, subspace: Subspace) -> float:
-    """Euclidean distance from ``x`` to the subspace."""
-    x = np.asarray(x, dtype=float).ravel()
-    return float(np.linalg.norm(x - project(x, subspace)))
 
 
 def principal_angles(F: Subspace, G: Subspace) -> AngleSpectrum:

@@ -13,8 +13,9 @@ direction generalizes at the ~d/n rate the budget formula is shaped for.
 Both stages compute in the inputs' dtype. A full-d learn fits the float32
 sample batch as stored, so it holds n*d*4 bytes and no float64 copy of the
 batch; an in-span learn fits a batch drawn directly in the basis's r
-float64 coordinates, n*r*8 bytes, with no d-dimensional rows at all. The
-returned direction is normalized in float64.
+float64 coordinates, n*r*8 bytes, with no d-dimensional rows at all. Both
+return a unit direction in R^d, normalized in float64; an in-span fit is
+mapped to R^d through the basis.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ import numpy as np
 from .geometry import Subspace
 from .synthetic import GroundTruth, TaskStream, sample_batch, task_error_exact
 
-C_S_DEFAULT = 4.0
 _POLISH_EPOCHS = 64
 _POLISH_BLOCK = 256
 
 
-def budget(dim: int, eps_target: float, c_s: float = C_S_DEFAULT) -> int:
+def budget(dim: int, eps_target: float, c_s: float) -> int:
     """Samples allowed for learning one halfspace in `dim` dimensions."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -127,7 +127,7 @@ def estimate_direction(
 
 
 def learn_halfspace(
-    stream: TaskStream, task: int, eps_target: float, c_s: float = C_S_DEFAULT
+    stream: TaskStream, task: int, eps_target: float, c_s: float
 ) -> Hypothesis:
     """Learn one task in the full ambient space at its sample budget."""
     n = budget(stream.ground_truth.d, eps_target, c_s)
@@ -139,22 +139,22 @@ def learn_in_feature_space(
     task: int,
     V: Subspace,
     eps_target: float,
-    c_s: float = C_S_DEFAULT,
+    c_s: float,
 ) -> Hypothesis:
     """Learn one task restricted to a feature subspace.
 
     Costs budget(dim V, eps) samples, which is the whole point of keeping a shared
-    representation. The returned direction is in V's coordinates; map to the
-    ambient space with V.basis @ direction. If the target sits far from V no
-    coefficient vector can be good; the caller is expected to check.
+    representation. The fit runs in V's coordinates and the returned direction
+    is V.basis @ coords, a unit vector of R^d inside V. If the target sits far
+    from V no coefficient vector can be good; the caller is expected to check.
     """
     n = budget(V.dim, eps_target, c_s)
-    direction = estimate_direction(stream, task, n, basis=V.basis)
-    return Hypothesis(direction=direction, samples_used=n)
+    coords = estimate_direction(stream, task, n, basis=V.basis)
+    return Hypothesis(direction=V.basis @ coords, samples_used=n)
 
 
 def check_hypothesis(h: Hypothesis, task: int, gt: GroundTruth, eps: float) -> bool:
-    """Exact error check (threshold inclusive). Direction must be ambient."""
+    """Exact error check (threshold inclusive)."""
     return task_error_exact(h.direction, task, gt) <= eps
 
 

@@ -18,11 +18,7 @@ import numpy as np
 
 from .geometry import Subspace, orthonormalize, principal_angles
 from .learner import adversarial_learn
-from .synthetic import rng_substream
-
-# substream namespaces (disjoint from the synthetic module's 0..3)
-_NS_PATTERNS = 10
-_NS_TRIALS = 11
+from .synthetic import NS_LB_PATTERNS, NS_LB_TRIALS, rng_substream
 
 _EXHAUSTIVE_CAP = 18  # 2^18 patterns is the largest exhaustive sweep allowed
 
@@ -148,7 +144,7 @@ def build_instance(
     S = tuple(range(k)) if subset is None else tuple(sorted(set(subset)))
     if not S or any(i < 0 or i >= k for i in S):
         raise ValueError("subset must be a nonempty subset of range(k)")
-    rng = rng_substream(seed, _NS_PATTERNS)
+    rng = rng_substream(seed, NS_LB_PATTERNS)
     patterns = _draw_patterns(rng, n_random, k, list(S))
     return LowerBoundInstance(k=k, patterns=patterns, eps_vector=eps, S=S, seed=seed)
 
@@ -211,7 +207,7 @@ def new_task_angle_stats(
         return _exceedance(instance, instance.patterns)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = rng_substream(instance.seed, _NS_TRIALS)
+    rng = rng_substream(instance.seed, NS_LB_TRIALS)
     patterns = _draw_patterns(rng, trials, instance.k, list(instance.S))
     return _exceedance(instance, patterns)
 

@@ -19,7 +19,8 @@ for a learner confined to an orthonormal basis B (d, r) is drawn in its r
 float64 coordinates instead: z = B^T x and the label need only r + 1
 normals per row, since a.x = z.c + (a - Bc).x with c = B^T a, and the
 second term is Gaussian and independent of z. Problems, Monte-Carlo checks
-and the other streams use Philox substreams.
+and the other streams use Philox substreams, whose namespaces are listed
+here once.
 """
 
 from __future__ import annotations
@@ -32,15 +33,18 @@ import numpy as np
 from .threads import fill_share
 
 _UNIT_TOL = 1e-8
-_MC_CHUNK = 1 << 18
 _FILL_CHUNK = 1 << 18  # float32 values per generator in a full-d batch
 _SAMPLE_BLOCK = 256  # stored float32 rows widened to float64 at a time for labeling
 
-# Substream namespaces: one per independent purpose so parallel trials and
-# repeated batches never share generator state.
-NS_PROBLEM = 0
-NS_BATCH = 1
-NS_MC = 2
+# Substream namespaces, the second entry of every seed path: one per
+# independent purpose, so that parallel trials and repeated batches never
+# share generator state. Every stream of the package and its tests is here.
+NS_PROBLEM = 0  # generate_problem
+NS_BATCH = 1  # sample_batch
+NS_ORACLE = 2  # Monte-Carlo disagreement, drawn only by the test oracles
+NS_LB_PATTERNS = 10  # lowerbound: random coordinate patterns
+NS_LB_TRIALS = 11  # lowerbound: new-task trials
+NS_CHECK = 20  # driver: Monte-Carlo acceptance checks
 
 
 def rng_substream(seed: int, *path: int) -> np.random.Generator:
@@ -188,18 +192,6 @@ def _fill_standard_normal(x: np.ndarray, seq: np.random.SeedSequence) -> None:
             helper.result()
 
 
-def _check_unit_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.size != v.size:
-        raise ValueError("vectors must share a dimension")
-    for t in (u, v):
-        nrm = np.linalg.norm(t)
-        if abs(nrm - 1.0) > _UNIT_TOL:
-            raise ValueError(f"expected unit vector, got norm {nrm}")
-    return u, v
-
-
 def _angle_over_pi(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """theta/pi between unit vectors along the last axis.
 
@@ -213,24 +205,7 @@ def _angle_over_pi(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def disagreement_exact(u: np.ndarray, v: np.ndarray) -> float:
     """Probability the two halfspaces disagree on a Gaussian input: theta/pi."""
-    return float(_angle_over_pi(*_check_unit_pair(u, v)))
-
-
-def disagreement_mc(u: np.ndarray, v: np.ndarray, n: int, seed: int) -> float:
-    """Empirical disagreement over n Gaussian draws (deterministic per seed)."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = rng_substream(seed, NS_MC)
-    disagree = 0
-    done = 0
-    while done < n:
-        take = min(_MC_CHUNK, n - done)
-        x = rng.standard_normal((take, u.size))
-        disagree += int(np.count_nonzero((x @ u >= 0.0) != (x @ v >= 0.0)))
-        done += take
-    return disagree / n
+    return float(task_errors(np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0])
 
 
 def task_error_exact(hypothesis: np.ndarray, task: int, gt: GroundTruth) -> float:
@@ -249,8 +224,7 @@ def task_errors(H: np.ndarray, A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if H.ndim != 2 or H.shape != A.shape:
         raise ValueError(f"need (n, d) arrays of one shape, got {H.shape}, {A.shape}")
-    for M in (H, A):
-        off = np.abs(np.linalg.norm(M, axis=1) - 1.0)
-        if np.any(off > _UNIT_TOL):
-            raise ValueError(f"expected unit rows, got a norm off by {off.max()}")
+    off = np.abs(np.linalg.norm((H, A), axis=-1) - 1.0)
+    if (off > _UNIT_TOL).any():
+        raise ValueError(f"expected unit rows, got a norm off by {off.max()}")
     return _angle_over_pi(H, A)

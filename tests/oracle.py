@@ -20,6 +20,11 @@ mistakes after every epoch. The learner tests compare `_polish` against it.
 row at a time, redrawing each all-zero row, as the harness did before it
 drew them in blocks. The lower-bound tests compare `_draw_patterns` against
 it bit for bit.
+
+`disagreement_mc` estimates the disagreement of two halfspaces from Gaussian
+draws on the `NS_ORACLE` substream; the geometry suite compares the exact
+angle formula against it. `project` and `dist_to_subspace` are the
+orthogonal projection onto a subspace and the distance to it.
 """
 
 import math
@@ -29,6 +34,9 @@ import numpy as np
 from lllsim.geometry import DROP_TOL, Subspace, orthonormalize
 from lllsim.learner import _POLISH_BLOCK, _POLISH_EPOCHS, _count_mistakes
 from lllsim.refinement import _complete_basis, _feature_matrix, _fix_signs
+from lllsim.synthetic import NS_ORACLE, rng_substream
+
+_MC_CHUNK = 1 << 18
 
 
 def _sphere_grid(d: int, grid: int) -> np.ndarray:
@@ -279,3 +287,37 @@ def draw_patterns_loop(rng: np.random.Generator, n: int, k: int, cols) -> np.nda
             row = rng.integers(0, 2, size=len(cols))
         patterns[j, cols] = row
     return patterns
+
+
+def disagreement_mc(u: np.ndarray, v: np.ndarray, n: int, seed: int) -> float:
+    """Empirical disagreement over n Gaussian draws (deterministic per seed)."""
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = rng_substream(seed, NS_ORACLE)
+    disagree = 0
+    done = 0
+    while done < n:
+        take = min(_MC_CHUNK, n - done)
+        x = rng.standard_normal((take, u.size))
+        disagree += int(np.count_nonzero((x @ u >= 0.0) != (x @ v >= 0.0)))
+        done += take
+    return disagree / n
+
+
+def project(x: np.ndarray, subspace: Subspace) -> np.ndarray:
+    """Orthogonal projection of ``x`` onto the subspace."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != subspace.ambient_dim:
+        raise ValueError(
+            f"vector length {x.size} != ambient dimension {subspace.ambient_dim}"
+        )
+    B = subspace.basis
+    return B @ (B.T @ x)
+
+
+def dist_to_subspace(x: np.ndarray, subspace: Subspace) -> float:
+    """Euclidean distance from ``x`` to the subspace."""
+    x = np.asarray(x, dtype=float).ravel()
+    return float(np.linalg.norm(x - project(x, subspace)))

@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from lllsim.driver import RunConfig, run_trials
-from lllsim.geometry import (
-    Subspace,
-    dist_to_subspace,
-    orthonormalize,
-    principal_angles,
-    project,
-)
+from lllsim.geometry import Subspace, orthonormalize, principal_angles
 from lllsim.lowerbound import (
     adversarial_subspace_angle,
     allocation_cost,
@@ -31,7 +25,8 @@ from lllsim.lowerbound import (
     new_task_angle_stats,
 )
 from lllsim.refinement import refine, solve_refinement_sdp
-from lllsim.synthetic import disagreement_exact, disagreement_mc
+from lllsim.synthetic import disagreement_exact
+from oracle import disagreement_mc, dist_to_subspace, project
 
 N_PLANTED = 50
 PLANTED_D, PLANTED_K, PLANTED_N, PLANTED_EPS = 100, 5, 30, 0.02

@@ -6,13 +6,11 @@ import pytest
 from lllsim.geometry import (
     AngleSpectrum,
     Subspace,
-    dist_to_subspace,
     extend,
     orthonormalize,
     principal_angles,
-    project,
 )
-from oracle import gram_schmidt_loop
+from oracle import dist_to_subspace, gram_schmidt_loop, project
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])

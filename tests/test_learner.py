@@ -6,7 +6,6 @@ import pytest
 
 from lllsim.geometry import orthonormalize
 from lllsim.learner import (
-    C_S_DEFAULT,
     Hypothesis,
     _count_mistakes,
     _polish,
@@ -25,7 +24,7 @@ from lllsim.synthetic import (
     sample_batch,
     task_error_exact,
 )
-from oracle import polish_with_recounts
+from oracle import dist_to_subspace, polish_with_recounts
 
 
 def _single_task_problem(a: np.ndarray) -> GroundTruth:
@@ -48,17 +47,17 @@ def test_budget_frozen_value():
 
 
 def test_budget_monotonicity():
-    assert budget(50, 0.05) >= budget(50, 0.1) >= budget(50, 0.2)
-    assert budget(200, 0.1) >= budget(100, 0.1) >= budget(10, 0.1)
+    assert budget(50, 0.05, 4.0) >= budget(50, 0.1, 4.0) >= budget(50, 0.2, 4.0)
+    assert budget(200, 0.1, 4.0) >= budget(100, 0.1, 4.0) >= budget(10, 0.1, 4.0)
 
 
 def test_budget_validates():
     with pytest.raises(ValueError):
-        budget(10, 0.5)
+        budget(10, 0.5, 4.0)
     with pytest.raises(ValueError):
-        budget(10, 0.0)
+        budget(10, 0.0, 4.0)
     with pytest.raises(ValueError):
-        budget(0, 0.1)
+        budget(0, 0.1, 4.0)
     with pytest.raises(ValueError):
         budget(10, 0.1, c_s=0.0)
 
@@ -74,8 +73,8 @@ def test_estimate_direction_noiseless_target():
 def test_learn_halfspace_budget_and_unit_norm():
     gt = generate_problem(d=30, k=3, m=5, seed=2)
     stream = TaskStream(ground_truth=gt, rng_seed=2)
-    h = learn_halfspace(stream, task=1, eps_target=0.1)
-    assert h.samples_used == budget(30, 0.1, C_S_DEFAULT)
+    h = learn_halfspace(stream, task=1, eps_target=0.1, c_s=4.0)
+    assert h.samples_used == budget(30, 0.1, 4.0)
     assert np.linalg.norm(h.direction) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -83,16 +82,16 @@ def test_learn_halfspace_rejects_bad_eps():
     gt = generate_problem(d=5, k=2, m=3, seed=0)
     stream = TaskStream(ground_truth=gt, rng_seed=0)
     with pytest.raises(ValueError):
-        learn_halfspace(stream, task=0, eps_target=0.5)
+        learn_halfspace(stream, task=0, eps_target=0.5, c_s=4.0)
 
 
 def test_learn_halfspace_calibration():
-    # the default constant must hit the target error in >= 95 of 100 trials
+    # c_s = 4 must hit the target error in >= 95 of 100 trials
     hits = 0
     for seed in range(100):
         gt = generate_problem(d=50, k=3, m=5, seed=seed)
         stream = TaskStream(ground_truth=gt, rng_seed=seed)
-        h = learn_halfspace(stream, task=0, eps_target=0.1)
+        h = learn_halfspace(stream, task=0, eps_target=0.1, c_s=4.0)
         if task_error_exact(h.direction, 0, gt) <= 0.1:
             hits += 1
     assert hits >= 95
@@ -176,16 +175,25 @@ def test_full_d_learn_holds_one_float32_batch():
     assert peak <= 1.2 * n * d * 4
 
 
+def _assert_in_span_answer(h, V, gt, seed: int, task: int) -> None:
+    """h is a unit vector of R^d in span(V), and V.basis @ the coordinate fit
+    of a stream seeded like the one that produced it."""
+    assert h.direction.shape == (gt.d,)
+    assert np.linalg.norm(h.direction) == pytest.approx(1.0, abs=1e-12)
+    assert dist_to_subspace(h.direction, V) <= 1e-12
+    stream = TaskStream(ground_truth=gt, rng_seed=seed)
+    coords = estimate_direction(stream, task, h.samples_used, basis=V.basis)
+    assert np.array_equal(h.direction, V.basis @ coords)
+
+
 def test_learn_in_feature_space_realizable():
     gt = generate_problem(d=20, k=2, m=6, seed=13)
     V = orthonormalize(list(gt.W_star))
     stream = TaskStream(ground_truth=gt, rng_seed=13)
-    h = learn_in_feature_space(stream, task=3, V=V, eps_target=0.1)
-    assert h.direction.shape == (2,)
-    assert h.samples_used == budget(2, 0.1, C_S_DEFAULT) == 185
-    ambient = V.basis @ h.direction
-    assert np.linalg.norm(ambient) == pytest.approx(1.0, abs=1e-10)
-    assert task_error_exact(ambient, 3, gt) <= 0.1
+    h = learn_in_feature_space(stream, task=3, V=V, eps_target=0.1, c_s=4.0)
+    assert h.samples_used == budget(2, 0.1, 4.0) == 185
+    _assert_in_span_answer(h, V, gt, seed=13, task=3)
+    assert task_error_exact(h.direction, 3, gt) <= 0.1
 
 
 def test_learn_in_feature_space_orthogonal_target():
@@ -193,9 +201,9 @@ def test_learn_in_feature_space_orthogonal_target():
     gt = _single_task_problem(np.eye(6)[0])
     V = orthonormalize([np.eye(6)[1], np.eye(6)[2]])
     stream = TaskStream(ground_truth=gt, rng_seed=7)
-    h = learn_in_feature_space(stream, task=0, V=V, eps_target=0.1)
-    ambient = V.basis @ h.direction
-    assert task_error_exact(ambient, 0, gt) == pytest.approx(0.5, abs=1e-12)
+    h = learn_in_feature_space(stream, task=0, V=V, eps_target=0.1, c_s=4.0)
+    _assert_in_span_answer(h, V, gt, seed=7, task=0)
+    assert task_error_exact(h.direction, 0, gt) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_check_hypothesis_inclusive_threshold():
@@ -281,12 +289,13 @@ def test_in_span_learn_draws_no_ambient_rows():
     gt = generate_problem(d=d, k=1, m=1, seed=1)
     V = orthonormalize(list(np.random.default_rng(1).standard_normal((r, d))))
     stream = TaskStream(ground_truth=gt, rng_seed=1)
-    n = budget(r, 0.02)
+    n = budget(r, 0.02, 4.0)
     tracemalloc.start()
     try:
-        h = learn_in_feature_space(stream, 0, V, 0.02)
+        h = learn_in_feature_space(stream, 0, V, 0.02, 4.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert h.samples_used == n and h.direction.shape == (r,)
+    assert h.samples_used == n
     assert peak <= n * d * 4 / 50
+    _assert_in_span_answer(h, V, gt, seed=1, task=0)

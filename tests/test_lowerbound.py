@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from lllsim.geometry import dist_to_subspace
 from lllsim.lowerbound import (
     LedgerReport,
     LowerBoundInstance,
@@ -18,7 +17,7 @@ from lllsim.lowerbound import (
     sample_complexity_ledger,
 )
 from lllsim.synthetic import rng_substream
-from oracle import draw_patterns_loop
+from oracle import dist_to_subspace, draw_patterns_loop
 
 
 def test_build_instance_basic_shape():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lllsim.geometry import Subspace, dist_to_subspace, orthonormalize, principal_angles
+from lllsim.geometry import Subspace, orthonormalize, principal_angles
 from lllsim.refinement import (
     DEFAULT_TOL,
     RefinementCertificate,
@@ -15,7 +15,12 @@ from lllsim.refinement import (
     round_sdp,
     solve_refinement_sdp,
 )
-from oracle import brute_force_refine, dense_round_sdp, dense_solution_X
+from oracle import (
+    brute_force_refine,
+    dense_round_sdp,
+    dense_solution_X,
+    dist_to_subspace,
+)
 
 E = np.eye(5)
 
