@@ -204,7 +204,7 @@ def _angle_to_truth(V: Subspace, truth: Subspace) -> float:
     """
     if V.dim != truth.dim:
         return math.pi / 2.0
-    return principal_angles(V, truth).max
+    return principal_angles(V, truth)[0]
 
 
 def _project_rows(

@@ -8,7 +8,7 @@ angles come back sorted largest first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,30 +38,11 @@ class Subspace:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class AngleSpectrum:
-    """Principal angles between two subspaces, sorted descending."""
-
-    angles: np.ndarray = field()
-
-    def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float)
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("angles must be a nonempty 1-d array")
-        if np.any(np.diff(a) > 1e-12):
-            raise ValueError("angles must be sorted descending")
-        object.__setattr__(self, "angles", a)
-
-    @property
-    def max(self) -> float:
-        return float(self.angles[0])
-
-
-def extend(V: Subspace | None, v, drop_tol: float = DROP_TOL) -> Subspace | None:
+def extend(V: Subspace | None, v) -> Subspace | None:
     """V with the normalized residual of ``v`` appended as one more column.
 
     Two passes of modified Gram-Schmidt against V's columns. If the residual
-    is below ``drop_tol`` times max(|v|, 1), or V fills the space, V comes
+    is below ``DROP_TOL`` times max(|v|, 1), or V fills the space, V comes
     back unchanged; None is the zero subspace. A column depends only on its
     vector and the columns before it, so `orthonormalize` is this step folded.
     """
@@ -77,35 +58,35 @@ def extend(V: Subspace | None, v, drop_tol: float = DROP_TOL) -> Subspace | None
         for q in cols:
             v -= np.dot(q, v) * q
     nrm = np.linalg.norm(v)
-    if nrm <= drop_tol * scale:
+    if nrm <= DROP_TOL * scale:
         return V
     return Subspace(basis=np.column_stack([*cols, v / nrm]))
 
 
-def orthonormalize(vectors, drop_tol: float = DROP_TOL) -> Subspace:
+def orthonormalize(vectors) -> Subspace:
     """Build an orthonormal basis for the span of ``vectors``.
 
     `extend` folded over the vectors: modified Gram-Schmidt with a second
     re-orthogonalization pass, dropping vectors whose residual falls below
-    ``drop_tol`` (relative to their norm, with an absolute floor).
+    ``DROP_TOL`` (relative to their norm, with an absolute floor).
     """
     V = None
     for v in vectors:
-        V = extend(V, v, drop_tol)
+        V = extend(V, v)
     if V is None:
         raise ValueError("vectors span only the zero subspace")
     return V
 
 
-def principal_angles(F: Subspace, G: Subspace) -> AngleSpectrum:
+def principal_angles(F: Subspace, G: Subspace) -> np.ndarray:
     """Principal angles between two subspaces of the same ambient space.
 
-    Returns min(dim F, dim G) angles in [0, pi/2], sorted descending, so
-    ``.max`` is the largest angle. Cosines come from the singular values
-    of B_F^T B_G; angles at or below pi/4 are instead taken from the sines
-    of the smaller basis projected onto the orthogonal complement of the
-    larger, which keeps tiny angles accurate where arccos alone loses half
-    the working precision.
+    Returns min(dim F, dim G) angles in [0, pi/2] as a float array sorted
+    descending, so element 0 is the largest angle. Cosines come from the
+    singular values of B_F^T B_G; angles at or below pi/4 are instead taken
+    from the sines of the smaller basis projected onto the orthogonal
+    complement of the larger, which keeps tiny angles accurate where arccos
+    alone loses half the working precision.
     """
     if F.ambient_dim != G.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
@@ -116,4 +97,4 @@ def principal_angles(F: Subspace, G: Subspace) -> AngleSpectrum:
     resid = small.basis - large.basis @ (large.basis.T @ small.basis)
     sines = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))
     angles = np.where(cosines**2 >= 0.5, np.arcsin(sines), np.arccos(cosines))
-    return AngleSpectrum(angles=np.sort(angles)[::-1])
+    return np.sort(angles)[::-1]

@@ -54,13 +54,9 @@ class LowerBoundInstance:
     def random_tasks(self) -> np.ndarray:
         return _tasks(self.patterns)  # (n_random, d) normalized patterns
 
-    def adversarial_estimates(self) -> np.ndarray:
-        """What the worst-case learner returns for each basis task."""
-        return _adversarial_estimates(self.eps_vector)
-
     def adversarial_span(self) -> Subspace:
         """Span of the estimates for the subset S."""
-        return orthonormalize(self.adversarial_estimates()[list(self.S)])
+        return orthonormalize(_adversarial_estimates(self.eps_vector)[list(self.S)])
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ def adversarial_subspace_angle(eps_vector) -> float:
         raise ValueError("eps entries must lie in [0, 1/2)")
     V = orthonormalize(_adversarial_estimates(eps))
     U = orthonormalize(np.eye(eps.size, eps.size + 1))
-    return principal_angles(V, U).max
+    return float(principal_angles(V, U)[0])
 
 
 def _exceedance(instance: LowerBoundInstance, patterns: np.ndarray) -> AngleStats:

@@ -332,9 +332,11 @@ def refine(
 
     When some k-dim subspace within eps_acc of every feature exists, the
     SDP value satisfies t <= eps_acc^2 + gap and the certificate bound
-    sqrt(2 t) (1 + tol) caps the rounded max distance. With `full_output`
-    the SdpSolution is returned as a third element. OpenBLAS runs at one
-    thread throughout.
+    sqrt(2 t) (1 + tol) caps the rounded max distance. eps_acc is only
+    checked for sign: it enters none of the solve, the rounding and the
+    certificate, and stays a positional parameter because callers pass it
+    so. With `full_output` the SdpSolution is returned as a third element.
+    OpenBLAS runs at one thread throughout.
     """
     if eps_acc <= 0.0:
         raise ValueError("eps_acc must be positive")

@@ -235,8 +235,8 @@ def test_geometry_property_suite():
         G = orthonormalize(list(rng.standard_normal((rg, d))))
         QF = np.linalg.qr(rng.standard_normal((rf, rf)))[0]
         QG = np.linalg.qr(rng.standard_normal((rg, rg)))[0]
-        a1 = principal_angles(F, G).angles
-        a2 = principal_angles(Subspace(F.basis @ QF), Subspace(G.basis @ QG)).angles
+        a1 = principal_angles(F, G)
+        a2 = principal_angles(Subspace(F.basis @ QF), Subspace(G.basis @ QG))
         assert np.allclose(a1, a2, atol=1e-8)
 
     rng = np.random.default_rng(123)

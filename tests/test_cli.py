@@ -160,13 +160,11 @@ def test_simulate_rr_with_k_equal_d_exits_2_before_any_trial(
     monkeypatch.setattr(
         driver, "run_one", lambda cfg: runs.append(cfg) or real_run_one(cfg)
     )
-    rc = run_cli(
-        "simulate", "--d", 5, "--k", 5, "--m", 30, "--mode", mode,
-        "-o", tmp_path / "x",
-    )
+    out = tmp_path / "x"
+    rc = run_cli("simulate", "--d", 5, "--k", 5, "--m", 30, "--mode", mode, "-o", out)
     assert rc == 2
     assert "rr mode needs k < d, got k=5, d=5" in capsys.readouterr().err
-    assert runs == []
+    assert runs == [] and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -182,10 +180,11 @@ def test_simulate_config_error_exits_2_before_any_trial(
 ):
     runs = []
     monkeypatch.setattr(driver, "run_one", lambda cfg: runs.append(cfg))
-    rc = run_cli("simulate", "--d", 20, "--k", 2, "--m", 10, *flags, "-o", tmp_path / "x")
+    out = tmp_path / "x"
+    rc = run_cli("simulate", "--d", 20, "--k", 2, "--m", 10, *flags, "-o", out)
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert runs == []
+    assert runs == [] and not out.exists()
 
 
 def test_simulate_flag_overrides_config_file(tmp_path):
@@ -326,11 +325,34 @@ def test_nonpositive_jobs_exit_2_before_any_trial(
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(driver, "run_one", no_trial)
-    rc = run_cli(
-        *command, "--d", 20, "--k", 2, "--m", 5, "--jobs", jobs, "-o", tmp_path / "x"
-    )
+    out = tmp_path / "x"
+    rc = run_cli(*command, "--d", 20, "--k", 2, "--m", 5, "--jobs", jobs, "-o", out)
     assert rc == 2
     assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, name",
+    [
+        (("--d-grid", "20,30,20"), "d_grid"),
+        (("--epsilon-grid", "0.1,0.2,0.10"), "epsilon_grid"),
+    ],
+    ids=["d_grid", "epsilon_grid"],
+)
+def test_sweep_repeated_grid_value_exits_2_before_any_pool(
+    tmp_path, capsys, monkeypatch, recorded_pools, grid, name
+):
+    # one distinct value cannot carry a fit, and a repeat reruns its trials
+    monkeypatch.setattr(driver, "available_cores", lambda: 8)
+    out = tmp_path / "x"
+    rc = run_cli(
+        "sweep", *grid, "--d", 20, "--k", 2, "--m", 5, "--trials", 2,
+        "--jobs", 2, "-o", out,
+    )
+    assert rc == 2
+    assert f"{name} repeats a value" in capsys.readouterr().err
+    assert recorded_pools == [] and not out.exists()
 
 
 def test_sweep_epsilon_grid_fits_inverse_epsilon(tmp_path):
@@ -490,10 +512,9 @@ def test_refine_nonconvergence_exit_4(tmp_path, capsys):
     [
         ("--c", 1, "c must be an integer >= 2, got 1"),
         ("--tol", -1, "tol must be nonnegative, got -1.0"),
-        ("--eps-acc", 0, "eps_acc must be positive, got 0.0"),
         ("--max-iters", 0, "max_iters must be >= 1, got 0"),
     ],
-    ids=["c", "tol", "eps_acc", "max_iters"],
+    ids=["c", "tol", "max_iters"],
 )
 def test_refine_bad_option_exits_2_before_the_solver(
     tmp_path, capsys, monkeypatch, flag, value, message
@@ -568,7 +589,7 @@ def test_lowerbound_uses_instance_tasks_when_n_random_given(tmp_path):
 def test_lowerbound_eps_vector_length_checked(tmp_path, capsys):
     rc = run_cli("lowerbound", "--k", 4, "--eps-vector", "0.1,0.1", "-o", tmp_path / "x")
     assert rc == 2
-    assert "must have 4 entries" in capsys.readouterr().err
+    assert "eps_vector must have length 4" in capsys.readouterr().err
 
 
 def test_lowerbound_rejects_out_of_range_eps(tmp_path, capsys):
@@ -632,7 +653,7 @@ _LEGACY_FLAGS = {
     "refine": (
         ("--input", "input"), ("--k", "k"), ("--tol", "tol"),
         ("--max-iters", "max_iters"), ("--c", "c"), ("--no-trim", "trim"),
-        ("--eps-acc", "eps_acc"), ("--dump", "dump"),
+        ("--dump", "dump"),
     ),
     "lowerbound": (
         ("--k", "k"), ("--eps", "eps"), ("--eps-vector", "eps_vector"),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lllsim.geometry import (
-    AngleSpectrum,
     Subspace,
     extend,
     orthonormalize,
@@ -129,14 +128,14 @@ def test_dist_examples():
 
 def test_principal_angles_examples():
     F = orthonormalize([E1, E2])
-    assert principal_angles(F, F).max == pytest.approx(0.0, abs=1e-8)
+    assert principal_angles(F, F)[0] == pytest.approx(0.0, abs=1e-8)
     A = principal_angles(orthonormalize([E1]), orthonormalize([E2]))
-    assert A.angles.shape == (1,)
-    assert A.max == pytest.approx(math.pi / 2, abs=1e-12)
+    assert A.shape == (1,)
+    assert A[0] == pytest.approx(math.pi / 2, abs=1e-12)
     B = principal_angles(
         orthonormalize([E1]), orthonormalize([(E1 + E2) / math.sqrt(2.0)])
     )
-    assert B.max == pytest.approx(math.pi / 4, abs=1e-12)
+    assert B[0] == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_principal_angles_sorted_descending_and_in_range():
@@ -144,12 +143,12 @@ def test_principal_angles_sorted_descending_and_in_range():
     F = orthonormalize([rng.standard_normal(8) for _ in range(3)])
     G = orthonormalize([rng.standard_normal(8) for _ in range(4)])
     A = principal_angles(F, G)
-    assert A.angles.shape == (3,)
-    assert np.all(np.diff(A.angles) <= 1e-15)
-    assert np.all(A.angles >= 0.0) and np.all(A.angles <= math.pi / 2 + 1e-12)
+    assert A.shape == (3,)
+    assert np.all(np.diff(A) <= 1e-15)
+    assert np.all(A >= 0.0) and np.all(A <= math.pi / 2 + 1e-12)
     # symmetry
     B = principal_angles(G, F)
-    assert np.allclose(A.angles, B.angles, atol=1e-10)
+    assert np.allclose(A, B, atol=1e-10)
 
 
 def test_pythagoras_and_idempotence_random():
@@ -174,8 +173,8 @@ def test_principal_angle_basis_invariance():
         # rotate F's basis columns by a random orthogonal matrix: same subspace
         Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         F2 = Subspace(basis=F.basis @ Q)
-        a = principal_angles(F, G).angles
-        b = principal_angles(F2, G).angles
+        a = principal_angles(F, G)
+        b = principal_angles(F2, G)
         assert np.allclose(a, b, atol=1e-8)
 
 
@@ -189,7 +188,7 @@ def test_adversarial_closed_form_arctan():
         cols = [np.concatenate([np.eye(k)[i], [s[i]]]) for i in range(k)]
         V = orthonormalize(cols)
         U = orthonormalize([np.concatenate([np.eye(k)[i], [0.0]]) for i in range(k)])
-        got = principal_angles(V, U).max
+        got = principal_angles(V, U)[0]
         assert got == pytest.approx(math.atan(np.linalg.norm(s)), abs=1e-8)
 
 
@@ -201,9 +200,5 @@ def test_containment_means_zero_max_angle():
         [F.basis[:, 0], F.basis[:, 1], rng.standard_normal(6), rng.standard_normal(6)]
     )
     # arccos near 1 turns 1e-15 roundoff into ~1e-7 angle; that is inherent
-    assert principal_angles(F, G).max == pytest.approx(0.0, abs=1e-6)
+    assert principal_angles(F, G)[0] == pytest.approx(0.0, abs=1e-6)
 
-
-def test_angle_spectrum_validates():
-    with pytest.raises(ValueError):
-        AngleSpectrum(angles=np.array([0.1, 0.5]))  # not descending

@@ -276,7 +276,7 @@ def test_factored_rounding_matches_dense_near_planted(seed, trim, near_planted_r
     W = near_planted_rows(seed)
     sol = solve_refinement_sdp(W, 3)
     V, D, _ = _factored_and_dense(W, 3, sol, trim=trim)
-    assert principal_angles(V, D).max <= 1e-9
+    assert principal_angles(V, D)[0] <= 1e-9
 
 
 @pytest.mark.parametrize("trim", [True, False])
@@ -284,7 +284,7 @@ def test_factored_rounding_matches_dense_gaussian_rows(trim):
     W = _unit_rows(0, 100, 30)
     sol = solve_refinement_sdp(W, k=3, tol=5e-3)
     V, D, _ = _factored_and_dense(W, 3, sol, trim=trim)
-    assert principal_angles(V, D).max <= 1e-9
+    assert principal_angles(V, D)[0] <= 1e-9
 
 
 @pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 3)])
@@ -295,7 +295,7 @@ def test_factored_rounding_matches_dense_at_rank_up_to_k(n, k):
     assert sol.k == n and sol.Q.shape == (6, n) and sol.t == 0.0
     V, D, _ = _factored_and_dense(W, sol.k, sol)
     assert V.dim == sol.k
-    assert principal_angles(V, D).max <= 1e-9
+    assert principal_angles(V, D)[0] <= 1e-9
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 2)])
@@ -311,7 +311,7 @@ def test_untrimmed_rounding_past_the_eigenvalues_below_one(n, k):
     below = int(np.count_nonzero(np.linalg.eigvalsh(sol.Xr) < 1.0 - 1e-6))
     assert below < V.dim
     head = [Subspace(basis=B.basis[:, :below]) for B in (V, D)]
-    assert principal_angles(*head).max <= 1e-9
+    assert principal_angles(*head)[0] <= 1e-9
     for B in (V.basis, D.basis):
         assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-10)
         assert np.allclose(X @ B[:, below:], B[:, below:], atol=1e-9)
@@ -390,7 +390,7 @@ def test_refine_exactly_realizable():
     V, cert = refine(W, k=2, eps_acc=0.01)
     assert V.dim == 2
     assert cert.max_distance <= 1e-5
-    assert principal_angles(V, orthonormalize(list(B.T))).max <= 1e-6
+    assert principal_angles(V, orthonormalize(list(B.T)))[0] <= 1e-6
 
 
 def test_refine_full_output_gap():
