@@ -25,7 +25,6 @@ import numpy as np
 from .driver import (
     CHECK_MODES,
     MODES,
-    REFINE_MODES,
     REPORT_COLUMNS,
     SUMMARY_COLUMNS,
     RunConfig,
@@ -124,9 +123,11 @@ def _fmt(v) -> str:
 
 
 def _output_dir(merged: dict) -> Path:
+    """The artifact directory, checked; each command makes it after its work."""
     name = merged.get("output_dir") or os.environ.get(ENV_OUTPUT_DIR) or "lllsim-out"
     out = Path(name)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise CliError(f"output path {out} exists and is not a directory")
     merged["output_dir"] = str(out)
     return out
 
@@ -175,7 +176,7 @@ _LB_KEYS = {
     "subset": str,
     "seed": int,
 }
-_CHOICES = {"mode": MODES, "check_mode": CHECK_MODES, "refine_every": REFINE_MODES}
+_CHOICES = {"mode": MODES, "check_mode": CHECK_MODES}
 _HELP = {
     "d_grid": "comma-separated dimensions",
     "epsilon_grid": "comma-separated accuracies",
@@ -224,9 +225,7 @@ def _check_invariants(cfg: RunConfig, reports) -> list:
         if cfg.mode == "basic" and np.any(np.diff(r.feature_dim_curve) < 0):
             problems.append(f"{tag}: feature dimension decreased")
         if cfg.mode == "rr":
-            cap = 2 * cfg.k - 1
-            if cfg.refine_every == "threshold":
-                cap = max(cap, cfg.r_max)
+            cap = max(2 * cfg.k - 1, cfg.r_max or 0)
             if int(r.feature_dim_curve.max()) > cap:
                 problems.append(f"{tag}: feature dimension exceeded {cap}")
     return problems
@@ -284,7 +283,7 @@ def _finish(out_dir: Path, lines: list, problems: list, converged: bool) -> int:
     return code
 
 
-def _cmd_simulate(merged: dict) -> int:
+def _cmd_simulate(merged: dict, out_dir: Path) -> int:
     _require(merged, "d", "k", "m")
     merged = _run_defaults(merged)
     mode_req = merged["mode"]
@@ -293,7 +292,7 @@ def _cmd_simulate(merged: dict) -> int:
     modes = MODES if mode_req == "all" else (mode_req,)
     cfgs = [_base_config(merged, mode) for mode in modes]
     groups = _run_all(cfgs, merged["jobs"])
-    out_dir = _output_dir(merged)
+    out_dir.mkdir(parents=True, exist_ok=True)
     all_rows = []
     report_lines = []
     problems = []
@@ -330,7 +329,7 @@ def _fit_line(xs, ys) -> tuple:
     return float(slope), float(intercept), r2
 
 
-def _cmd_sweep(merged: dict) -> int:
+def _cmd_sweep(merged: dict, out_dir: Path) -> int:
     _require(merged, "k", "m")
     merged = _run_defaults(merged)
     d_grid = (
@@ -349,13 +348,11 @@ def _cmd_sweep(merged: dict) -> int:
         if len(set(grid)) < len(grid):
             raise CliError(f"{name} repeats a value")
 
-    # epsilon_acc is left out of the epsilon points so that it rescales with epsilon
     points = [("d", d, dict(merged, d=d)) for d in d_grid]
-    free = {k: v for k, v in merged.items() if k != "epsilon_acc"}
-    points += [("epsilon", e, dict(free, epsilon=e)) for e in eps_grid]
+    points += [("epsilon", e, dict(merged, epsilon=e)) for e in eps_grid]
     cfgs = [_base_config(point, mode=merged["mode"]) for _, _, point in points]
     groups = _run_all(cfgs, merged["jobs"])
-    out_dir = _output_dir(merged)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     lines = []
@@ -412,7 +409,7 @@ def _cmd_sweep(merged: dict) -> int:
     return _finish(out_dir, lines, problems, _converged(groups))
 
 
-def _cmd_refine(merged: dict) -> int:
+def _cmd_refine(merged: dict, out_dir: Path) -> int:
     _require(merged, "input", "k")
     for key, ok, need in (
         ("c", merged.get("c", 2) >= 2, "an integer >= 2"),
@@ -444,7 +441,7 @@ def _cmd_refine(merged: dict) -> int:
         )
         W = W / norms[:, None]
 
-    out_dir = _output_dir(merged)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # only the keys given: refine() holds the defaults
     given = {
         key: merged[key] for key in ("c", "tol", "max_iters", "trim") if key in merged
@@ -480,10 +477,12 @@ def _cmd_refine(merged: dict) -> int:
     return EXIT_OK if sol.converged else EXIT_SOLVER
 
 
-def _cmd_lowerbound(merged: dict) -> int:
+def _cmd_lowerbound(merged: dict, out_dir: Path) -> int:
     _require(merged, "k")
     k = merged["k"]
     if "eps_vector" in merged:
+        if "eps" in merged:
+            raise CliError("give eps or eps_vector, not both")
         eps_vec = _parse_grid(merged["eps_vector"], float, "eps_vector")
     else:
         eps_vec = [merged.get("eps", 0.1)] * k
@@ -495,9 +494,9 @@ def _cmd_lowerbound(merged: dict) -> int:
     if trials is None and n_random == 0:
         trials = 200  # sensible default sample of fresh combination tasks
     eps_target = merged.get("eps_target", 0.1)
-    uniform = [eps_target / math.sqrt(k)] * k
     try:
         instance = build_instance(k, n_random, merged.get("seed", 0), eps_vec, subset=subset)
+        uniform = [eps_target / math.sqrt(k)] * k
         stats = new_task_angle_stats(instance, trials=trials)
         ledgers = [
             (name, sample_complexity_ledger(instance, eps_target, alloc))
@@ -506,7 +505,7 @@ def _cmd_lowerbound(merged: dict) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    out_dir = _output_dir(merged)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "angles.csv",
         ("task_index", "angle", "threshold", "exceeds"),
@@ -588,7 +587,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_resolve(args, args.keys))
+        merged = _resolve(args, args.keys)
+        return args.func(merged, _output_dir(merged))
     except MissingKeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         args.parser.print_usage(sys.stderr)

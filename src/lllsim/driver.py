@@ -52,19 +52,19 @@ from .threads import available_cores, one_blas_thread, set_fill_share
 
 MODES = ("basic", "rr", "joint")
 CHECK_MODES = ("oracle", "montecarlo")
-REFINE_MODES = ("on_new_feature", "threshold")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a simulation run depends on. Immutable and picklable.
 
-    epsilon_acc defaults to epsilon / (acc_constant * sqrt(k)), clamped to
-    epsilon so small k stays valid; passing it explicitly overrides the
-    formula. acc_constant and c_s defaults are the
-    simulation calibration: accurate enough that recorded errors stay under
-    epsilon with room, noisy enough that the basic loop keeps learning a few
-    more than k features, which is the regime refinement is for.
+    One field per decision. rr refines after every new feature, or with
+    r_max = R only once a new feature takes the active dimension past R.
+    acc_constant sets `epsilon_acc`, the accuracy of a full-d learn.
+    acc_constant and c_s defaults are the simulation calibration: accurate
+    enough that recorded errors stay under epsilon with room, noisy enough
+    that the basic loop keeps learning a few more than k features, which is
+    the regime refinement is for.
     """
 
     d: int
@@ -72,17 +72,20 @@ class RunConfig:
     m: int
     N: int = 200
     epsilon: float = 0.1
-    epsilon_acc: float | None = None
     acc_constant: float = 0.75
     c_s: float = 0.5
     seed: int = 0
     trials: int = 1
     mode: str = "basic"
     check_mode: str = "oracle"
-    refine_every: str = "on_new_feature"
     r_max: int | None = None
     sdp_tol: float = 5e-3
     sdp_max_iters: int | None = None
+
+    @property
+    def epsilon_acc(self) -> float:
+        """Full-d learn accuracy: epsilon / (acc_constant * sqrt(k)), at most epsilon."""
+        return min(self.epsilon, self.epsilon / (self.acc_constant * math.sqrt(self.k)))
 
     def __post_init__(self):
         if not (1 <= self.k <= min(self.m, self.d)):
@@ -91,20 +94,10 @@ class RunConfig:
             )
         if not (0.0 < self.epsilon < 0.5):
             raise ValueError(f"epsilon must be in (0, 1/2), got {self.epsilon}")
-        if self.epsilon_acc is None:
-            if self.acc_constant <= 0.0:
-                raise ValueError("acc_constant must be positive")
-            object.__setattr__(
-                self,
-                "epsilon_acc",
-                min(
-                    self.epsilon,
-                    self.epsilon / (self.acc_constant * math.sqrt(self.k)),
-                ),
-            )
-        if not (0.0 < self.epsilon_acc <= self.epsilon):
+        if not (self.acc_constant > 0.0 and self.epsilon_acc > 0.0):
+            # also rejects nan, and a constant so large that epsilon_acc is 0
             raise ValueError(
-                f"need 0 < epsilon_acc <= epsilon, got {self.epsilon_acc}"
+                f"need acc_constant > 0 and epsilon_acc > 0, got {self.acc_constant}"
             )
         if self.N < 0:
             raise ValueError("N must be nonnegative")
@@ -122,17 +115,11 @@ class RunConfig:
             raise ValueError(
                 f"check_mode must be one of {CHECK_MODES}, got {self.check_mode!r}"
             )
-        if self.refine_every not in REFINE_MODES:
-            raise ValueError(
-                f"refine_every must be one of {REFINE_MODES}, got {self.refine_every!r}"
-            )
         if self.mode == "rr" and self.k == self.d:
             # refinement targets a proper subspace: the solver needs k < d
             raise ValueError(f"rr mode needs k < d, got k={self.k}, d={self.d}")
-        if self.refine_every == "threshold" and (
-            self.r_max is None or self.r_max < 1
-        ):
-            raise ValueError("threshold refinement requires r_max >= 1")
+        if self.r_max is not None and self.r_max < 1:
+            raise ValueError("r_max must be >= 1")
         if self.sdp_tol <= 0.0:
             raise ValueError("sdp_tol must be positive")
         if self.sdp_max_iters is not None and self.sdp_max_iters < 1:
@@ -336,7 +323,7 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             rec.events.append(t)
         rec.err[t] = task_errors(H[t : t + 1], gt.a[t : t + 1])[0]
 
-        lazy = config.refine_every == "threshold" and active.dim <= config.r_max
+        lazy = config.r_max is not None and active.dim <= config.r_max
         if not passed and config.mode == "rr" and not lazy:
             active, _cert, sol = refine(
                 raw,

@@ -187,6 +187,59 @@ def test_simulate_config_error_exits_2_before_any_trial(
     assert runs == [] and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [("--epsilon-acc", "0.05"), ("--refine-every", "threshold")]
+)
+def test_simulate_removed_flags_exit_2(tmp_path, capsys, flags):
+    # epsilon_acc is derived from acc_constant, and r_max alone sets the schedule
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--d", 20, "--k", 2, "--m", 5, *flags, "-o", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["refine_every=threshold", "epsilon_acc=0.05"])
+def test_simulate_removed_config_keys_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"d=20\nk=2\nm=5\nr_max=3\n{line}\n")
+    out = tmp_path / "x"
+    assert run_cli("simulate", "--config", cfg, "-o", out) == 2
+    assert f"unknown config key {line.split('=')[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("simulate", "--d", 20, "--k", 2, "--m", 5, "--trials", 2, "--jobs", 2),
+        ("sweep", "--d-grid", "20,30", "--k", 2, "--m", 5, "--trials", 2, "--jobs", 2),
+        ("refine", "--k", 1),
+        ("lowerbound", "--k", 4),
+    ],
+    ids=["simulate", "sweep", "refine", "lowerbound"],
+)
+def test_output_path_is_a_file_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, recorded_pools, command
+):
+    monkeypatch.setattr(driver, "available_cores", lambda: 8)
+    solves = []
+    monkeypatch.setattr(
+        refinement, "solve_refinement_sdp", lambda *a, **kw: solves.append(a)
+    )
+    feats = tmp_path / "feats.txt"
+    feats.write_text("1 0 0\n0 1 0\n")
+    extra = ("--input", feats) if command[0] == "refine" else ()
+    target = tmp_path / "afile"
+    target.write_text("keep\n")
+    assert run_cli(*command, *extra, "-o", target) == 2
+    err = capsys.readouterr().err
+    assert f"output path {target} exists and is not a directory" in err
+    assert recorded_pools == [] and solves == []
+    assert target.read_text() == "keep\n"
+
+
 def test_simulate_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("d=30\nk=2\nm=10\nseed=1\n")
@@ -278,7 +331,7 @@ def test_check_invariants_flags_rr_dim_above_cap():
 
 
 def test_check_invariants_threshold_mode_raises_cap():
-    cfg = RunConfig(d=30, k=2, m=10, mode="rr", refine_every="threshold", r_max=5)
+    cfg = RunConfig(d=30, k=2, m=10, mode="rr", r_max=5)
     report = _stub_report(feature_dim_curve=np.array([1, 4]))
     assert cli._check_invariants(cfg, [report]) == []
 
@@ -615,10 +668,29 @@ def test_lowerbound_requires_k(tmp_path, capsys):
     assert "missing required key(s): k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_lowerbound_k_below_2_exits_2(tmp_path, capsys, k):
+    out = tmp_path / "x"
+    assert run_cli("lowerbound", "--k", k, "-o", out) == 2
+    assert "k must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lowerbound_eps_with_eps_vector_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = run_cli(
+        "lowerbound", "--k", 4, "--eps", "0.3", "--eps-vector", "0.1,0.1,0.1,0.1",
+        "--trials", 50, "-o", out,
+    )
+    assert rc == 2
+    assert "give eps or eps_vector, not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- flags
 
 # Every field set to a non-None value of its own type.
-_FULL_CONFIG = RunConfig(d=4, k=2, m=3, epsilon_acc=0.05, r_max=3, sdp_max_iters=7)
+_FULL_CONFIG = RunConfig(d=4, k=2, m=3, r_max=3, sdp_max_iters=7)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -637,10 +709,9 @@ _COMMON_FLAGS = (("--config", "config"), ("-o", "output_dir"), ("--output-dir", 
 _LEGACY_FLAGS = {
     "simulate": (
         ("--d", "d"), ("--k", "k"), ("--m", "m"), ("--N", "N"),
-        ("--epsilon", "epsilon"), ("--epsilon-acc", "epsilon_acc"),
-        ("--acc-constant", "acc_constant"), ("--c-s", "c_s"), ("--seed", "seed"),
-        ("--trials", "trials"), ("--mode", "mode"), ("--check-mode", "check_mode"),
-        ("--refine-every", "refine_every"), ("--r-max", "r_max"),
+        ("--epsilon", "epsilon"), ("--acc-constant", "acc_constant"),
+        ("--c-s", "c_s"), ("--seed", "seed"), ("--trials", "trials"),
+        ("--mode", "mode"), ("--check-mode", "check_mode"), ("--r-max", "r_max"),
         ("--sdp-tol", "sdp_tol"), ("--sdp-max-iters", "sdp_max_iters"),
         ("--jobs", "jobs"),
     ),
@@ -661,7 +732,7 @@ _LEGACY_FLAGS = {
         ("--trials", "trials"), ("--subset", "subset"), ("--seed", "seed"),
     ),
 }
-_FLAG_VALUES = {"--mode": "rr", "--check-mode": "montecarlo", "--refine-every": "threshold"}
+_FLAG_VALUES = {"--mode": "rr", "--check-mode": "montecarlo"}
 
 
 @pytest.mark.parametrize(
@@ -681,10 +752,7 @@ def test_legacy_flag_keeps_its_dest(command, flag, dest):
 
 
 def test_only_sweep_gains_flags():
-    added = {
-        "--epsilon-acc", "--check-mode", "--refine-every", "--r-max", "--sdp-tol",
-        "--sdp-max-iters",
-    }
+    added = {"--check-mode", "--r-max", "--sdp-tol", "--sdp-max-iters"}
     for command, flags in _LEGACY_FLAGS.items():
         sub = cli.build_parser().parse_args([command]).parser
         accepted = set(sub._option_string_actions) - {"-h", "--help"}

@@ -46,8 +46,6 @@ def test_config_epsilon_acc_default_formula():
     # k=1 would push the formula above epsilon; the default clamps
     cfg1 = RunConfig(d=20, k=1, m=10)
     assert cfg1.epsilon_acc == cfg1.epsilon
-    explicit = RunConfig(d=20, k=4, m=10, epsilon_acc=0.03)
-    assert explicit.epsilon_acc == 0.03
 
 
 def test_config_is_frozen():
@@ -63,18 +61,18 @@ def test_config_is_frozen():
         dict(d=10, k=3, m=2),  # k > m
         dict(d=10, k=0, m=5),
         dict(d=10, k=2, m=5, epsilon=0.5),
-        dict(d=10, k=2, m=5, epsilon_acc=0.2),  # above epsilon
-        dict(d=10, k=2, m=5, epsilon_acc=0.0),
         dict(d=10, k=2, m=5, acc_constant=0.0),
+        dict(d=10, k=2, m=5, acc_constant=-1.0),
+        dict(d=10, k=2, m=5, acc_constant=math.inf),  # epsilon_acc would be 0
+        dict(d=10, k=4, m=5, acc_constant=1e308),  # finite, but epsilon_acc is 0
+        dict(d=10, k=2, m=5, acc_constant=math.nan),
         dict(d=10, k=2, m=5, c_s=0.0),
         dict(d=10, k=2, m=5, trials=0),
         dict(d=10, k=2, m=5, seed=-1),
         dict(d=10, k=2, m=5, N=-1),
         dict(d=10, k=2, m=5, mode="offline"),
         dict(d=10, k=2, m=5, check_mode="exact"),
-        dict(d=10, k=2, m=5, refine_every="never"),
-        dict(d=10, k=2, m=5, refine_every="threshold"),  # needs r_max
-        dict(d=10, k=2, m=5, refine_every="threshold", r_max=0),
+        dict(d=10, k=2, m=5, r_max=0),
         dict(d=10, k=2, m=5, sdp_tol=0.0),
         dict(d=5, k=5, m=30, mode="rr"),  # refinement needs k < d
         dict(d=10, k=2, m=5, N=0, mode="joint"),  # joint pools N samples per task
@@ -193,9 +191,7 @@ def test_rr_dimension_stays_bounded():
 def test_threshold_refinement_is_lazier():
     kw = dict(d=60, k=4, m=40, seed=0)
     eager = run_one(RunConfig(mode="rr", **kw))
-    lazy = run_one(
-        RunConfig(mode="rr", refine_every="threshold", r_max=4, **kw)
-    )
+    lazy = run_one(RunConfig(mode="rr", r_max=4, **kw))
     assert lazy.refinement_count >= 1
     assert lazy.refinement_count < eager.refinement_count
     assert lazy.feature_dim_curve.max() <= 4

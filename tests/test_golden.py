@@ -42,12 +42,8 @@ CONFIGS = {
     "rr_mc_d100_m60_s0": dict(
         mode="rr", d=100, k=5, m=60, seed=0, check_mode="montecarlo"
     ),
-    "rr_threshold5_d100_m60_s0": dict(
-        mode="rr", d=100, k=5, m=60, seed=0, refine_every="threshold", r_max=5
-    ),
-    "rr_threshold6_d100_m120_s3": dict(
-        mode="rr", d=100, k=5, m=120, seed=3, refine_every="threshold", r_max=6
-    ),
+    "rr_threshold5_d100_m60_s0": dict(mode="rr", d=100, k=5, m=60, seed=0, r_max=5),
+    "rr_threshold6_d100_m120_s3": dict(mode="rr", d=100, k=5, m=120, seed=3, r_max=6),
     "rr_k1_d100_m60_s0": dict(mode="rr", d=100, k=1, m=60, seed=0),
 }
 
