@@ -126,8 +126,11 @@ def _output_dir(merged: dict) -> Path:
     """The artifact directory, checked; each command makes it after its work."""
     name = merged.get("output_dir") or os.environ.get(ENV_OUTPUT_DIR) or "lllsim-out"
     out = Path(name)
-    if out.exists() and not out.is_dir():
-        raise CliError(f"output path {out} exists and is not a directory")
+    # the nearest existing path, where the mkdir after the work would fail
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        below = "" if existing == out else f" lies below {existing}, which"
+        raise CliError(f"output path {out}{below} exists and is not a directory")
     merged["output_dir"] = str(out)
     return out
 

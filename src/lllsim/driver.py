@@ -400,6 +400,7 @@ def trial_configs(config: RunConfig) -> list:
     ]
 
 
+@one_blas_thread()
 def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
     """Run the trials of one config, or of a sequence of configs, in one pool.
 
@@ -410,7 +411,9 @@ def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
     At most min(jobs, total trials, available cores) forked worker processes
     run, each filling full-d sample batches on its share, cores // workers,
     of the threads and computing, like every run_one, with one OpenBLAS
-    thread; with one worker the trials run serially in this process.
+    thread; with one worker the trials run serially in this process. The
+    pool is forked with OpenBLAS already at one thread, so no worker has
+    to shrink the thread pool it inherits.
     Raises ValueError for jobs < 1.
     """
     if jobs < 1:

@@ -16,10 +16,17 @@ runs Hedge over the n constraints; the min player best-responds with the
 projector onto the d-k smallest eigenvectors of M(p) = sum_i p_i w_i w_i'.
 Averaged best responses stay feasible by convexity. For every p, the sum
 of the d-k smallest eigenvalues of M(p) lower-bounds the optimum, and the
-best such dual value certifies the gap. Everything happens in the span of
-the features (dimension r = rank(W)), which is exact: any feasible ambient
-X restricts to a feasible reduced one with the same constraint values, and
-a reduced solution extends by the identity on the orthogonal complement.
+best such dual value certifies the gap. Two averages are kept: one since
+step 1, which drives Hedge, and one restarted after steps 1, 2, 4, 8, ...,
+which leaves out the poor early best responses ("suffix averaging", as in
+Rakhlin, Shamir and Sridharan 2012). Both are primal candidates at every
+step, and both averaged weight vectors are dual candidates every
+`_DUAL_EVERY` steps.
+
+Everything happens in the span of the features (dimension r = rank(W)),
+which is exact: any feasible ambient X restricts to a feasible reduced one
+with the same constraint values, and a reduced solution extends by the
+identity on the orthogonal complement.
 
 The solution is kept in that factored form, X = Q Xr Q' + (I - QQ'), with
 Q (d, r) orthonormal and Xr (r, r): the solver, the feasibility checks and
@@ -53,6 +60,7 @@ from .threads import one_blas_thread
 DEFAULT_TOL = 1e-4
 _FEAS_TOL = 1e-6
 _SIGN_TOL = 1e-12
+_DUAL_EVERY = 8  # iterations between the averaged weights' dual checks
 
 
 @dataclass(frozen=True)
@@ -165,13 +173,17 @@ def solve_refinement_sdp(
 
     The constraint weights follow Hedge with the AdaHedge rate (see the
     module docstring), so `max_iters` (default ceil(2000 ln n)) is only a
-    budget: it does not set the step size. The dual bound is taken from
-    every iterate's weights and, every max_iters // 64 iterations, from the
-    averaged weights; the solver stops once the gap reaches `tol`. Returns
-    the best averaged iterate with a certified duality gap; if the gap does
-    not reach `tol` within `max_iters` the solution is still feasible and
-    `converged` is False. k is clamped to r = rank(W): for r <= k the exact
-    optimum t = 0 comes back without iterating, with `k` = r.
+    budget: it does not set the step size. The primal value is the best of
+    the averaged best responses since step 1 and since the last power of
+    two. The dual bound is taken from every iterate's weights and, every
+    `_DUAL_EVERY` iterations and once at the end, from both averaged weight
+    vectors; the solver stops once the gap reaches `tol`. Returns the best
+    averaged iterate with a certified duality gap, t computed from that Xr,
+    and as `weights` the average since step 1; checkpoints come every
+    max_iters // 64 iterations and at the stop. If the gap does not reach
+    `tol` within `max_iters` the solution is still feasible and `converged`
+    is False. k is clamped to r = rank(W): for r <= k the exact optimum
+    t = 0 comes back without iterating, with `k` = r.
     """
     A = _feature_matrix(W)
     n, d = A.shape
@@ -208,7 +220,7 @@ def solve_refinement_sdp(
         max_iters = math.ceil(2000.0 * log_n)
 
     mix_gap = 0.0  # AdaHedge's cumulative mixability gap Delta
-    sum_X = np.zeros((r, r))
+    sum_X = np.zeros((r, r))  # sums since step 1
     sum_v = np.zeros(n)
     sum_p = np.zeros(n)
     best_primal = np.inf
@@ -220,6 +232,11 @@ def solve_refinement_sdp(
     done = 0
     for it in range(1, max_iters + 1):
         done = it
+        if (it - 1) & (it - 2) == 0:  # it - 1 is 0 or a power of two: restart
+            suf_X = np.zeros((r, r))
+            suf_v = np.zeros(n)
+            suf_p = np.zeros(n)
+            suf_count = 0
         if mix_gap > 0.0:
             eta = log_n / mix_gap
             p = np.exp(eta * (sum_v - sum_v.max()))
@@ -227,7 +244,6 @@ def solve_refinement_sdp(
             eta = math.inf
             p = (sum_v == sum_v.max()).astype(float)
         p /= p.sum()
-        sum_p += p
         M = Wt.T @ (p[:, None] * Wt)
         vals, vecs = np.linalg.eigh(M)
         U = vecs[:, : r - k]  # best response: projector onto r-k smallest
@@ -235,18 +251,26 @@ def solve_refinement_sdp(
         best_dual = max(best_dual, dual)
         WU = Wt @ U
         v = np.einsum("ij,ij->i", WU, WU)
-        sum_v += v
-        sum_X += U @ U.T
-        primal = float(sum_v.max()) / it
-        if primal < best_primal:
-            best_primal = primal
-            best_sum_X = sum_X.copy()
-            best_count = it
-        gap = best_primal - best_dual
-        if it % stride == 0:
+        P = U @ U.T
+        for s_X, s_v, s_p in ((sum_X, sum_v, sum_p), (suf_X, suf_v, suf_p)):
+            s_X += P
+            s_v += v
+            s_p += p
+        suf_count += 1
+        for s_X, s_v, count in ((sum_X, sum_v, it), (suf_X, suf_v, suf_count)):
+            primal = float(s_v.max()) / count
+            if primal < best_primal:
+                best_primal = primal
+                best_sum_X = s_X.copy()
+                best_count = count
+        if it % _DUAL_EVERY == 0:
             # the averaged weights usually certify a much tighter dual value
-            best_dual = max(best_dual, _weighted_dual(Wt, sum_p / it, k))
-            gap = best_primal - best_dual
+            best_dual = max(
+                best_dual,
+                _weighted_dual(Wt, sum_p / it, k),
+                _weighted_dual(Wt, suf_p / suf_count, k),
+            )
+        gap = best_primal - best_dual
         if it % stride == 0 or gap <= tol:
             checkpoints.append((it, best_primal, best_dual, max(gap, 0.0)))
         if gap <= tol:
@@ -254,7 +278,8 @@ def solve_refinement_sdp(
         mix_gap += _mixability_gap(p, 1.0 - v, eta)
 
     p_bar = sum_p / done
-    best_dual = max(best_dual, _weighted_dual(Wt, p_bar, k))
+    p_suf = suf_p / suf_count
+    best_dual = max(best_dual, _weighted_dual(Wt, p_bar, k), _weighted_dual(Wt, p_suf, k))
 
     Xr = best_sum_X / best_count
     Xr = 0.5 * (Xr + Xr.T)

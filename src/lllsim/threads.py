@@ -3,11 +3,13 @@
 The BLAS calls of a run work on operands far too small to split (blocks of
 a few hundred rows, d x d at most), so a multithreaded OpenBLAS only keeps
 its extra threads spinning. The entry points (`driver.run_one`,
-`refinement.refine`, `cli.main`) therefore run under `one_blas_thread`,
-and the process's cores go where they pay: `synthetic.sample_batch` fills
-the row chunks of a full-d batch on up to `fill_share()` threads. The share
-is the available cores in the main process; a `run_trials` pool worker gets
-cores // workers through `set_fill_share`, its pool initializer.
+`driver.run_trials`, `refinement.refine`, `cli.main`) therefore run under
+`one_blas_thread` (`run_trials` forks its pool inside that scope, so its
+workers start at one thread), and the process's cores go where they pay:
+`synthetic.sample_batch` fills the row chunks of a full-d batch on up to
+`fill_share()` threads. The share is the available cores in the main
+process; a `run_trials` pool worker gets cores // workers through
+`set_fill_share`, its pool initializer.
 
 Only OpenBLAS is lowered. MKL and Accelerate keep their own thread count,
 since no setter is looked up for them.

@@ -240,6 +240,30 @@ def test_output_path_is_a_file_exits_2_before_any_work(
     assert target.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize(
+    "command, stub",
+    [
+        (("simulate", "--d", 10, "--k", 2, "--m", 4), (driver, "run_one")),
+        (("lowerbound", "--k", 4), (cli, "build_instance")),
+    ],
+    ids=["simulate", "lowerbound"],
+)
+def test_output_path_below_a_file_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, stub
+):
+    # the path itself does not exist; mkdir would fail on its parent, a file
+    calls = []
+    monkeypatch.setattr(*stub, lambda *a, **kw: calls.append(a))
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    target = afile / "sub"
+    assert run_cli(*command, "-o", target) == 2
+    err = capsys.readouterr().err
+    assert f"output path {target} lies below {afile}, which exists and is not" in err
+    assert calls == []
+    assert afile.read_text() == "keep\n"
+
+
 def test_simulate_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("d=30\nk=2\nm=10\nseed=1\n")

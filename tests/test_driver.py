@@ -482,6 +482,25 @@ def test_run_trials_workers_get_their_fill_share_and_one_blas_thread(monkeypatch
     assert seen == [(cores // 2, 1)] * 2
 
 
+def _blas_counts(config):
+    # stands in for run_one in a pool worker: the thread count it inherited
+    return [getter() for getter, _ in threads._openblas_controls()]
+
+
+def test_run_trials_forks_its_pool_with_one_blas_thread(monkeypatch):
+    # a worker forked at the full count re-creates OpenBLAS's thread pool in
+    # its first one-thread scope; forked inside run_trials' scope it starts at 1
+    controls = threads._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found")
+    if threads.available_cores() < 2:
+        pytest.skip("one core: run_trials never starts a pool")
+    if all(getter() == 1 for getter, _ in controls):
+        pytest.skip("OpenBLAS already runs at one thread here")
+    monkeypatch.setattr(driver, "run_one", _blas_counts)
+    assert run_trials(RunConfig(d=10, k=2, m=3, trials=2), jobs=2) == [[1], [1]]
+
+
 def _run_cli(tmp_path):
     out = tmp_path / "out"
     return cli.main(["simulate", "--d", "15", "--k", "2", "--m", "8", "-o", str(out)])

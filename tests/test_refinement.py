@@ -103,14 +103,29 @@ def test_solver_gaussian_instance_pinned_budget(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solver_stops_on_averaged_dual(seed):
-    # same instances, default budget: with the averaged weights' dual folded
-    # in every 143 iterations (the checkpoint stride) they stop at 545/429/482
-    # iterations; on the per-iterate duals alone they stopped at 770/545/639
+    # same instances, default budget: with the averages since step 1 and
+    # since the last power of two as primal candidates, and their weights'
+    # duals every 8 iterations, they stop at 280/253/272 iterations; with
+    # the averages since step 1 alone, their dual checked every 143
+    # iterations, they stopped at 545/429/482
     W = np.random.default_rng(seed).standard_normal((100, 30))
     W /= np.linalg.norm(W, axis=1)[:, None]
     sol = solve_refinement_sdp(W, k=3, tol=5e-3)
     assert sol.converged
-    assert sol.iterations <= 600
+    assert sol.iterations <= 350
+
+
+def test_solver_gaussian_instance_reaches_1e_3():
+    # seed 0 at tol 1e-3: ~4.1k iterations of the default budget of 9211,
+    # which the averages since step 1 alone ran out at gap 1.2e-3
+    W = _unit_rows(0, 100, 30)
+    sol = solve_refinement_sdp(W, k=3, tol=1e-3)
+    assert sol.converged and sol.gap <= 1e-3
+    eig = np.linalg.eigvalsh(sol.Xr)
+    assert eig[0] >= -1e-9 and eig[-1] <= 1.0 + 1e-9
+    assert np.trace(sol.Xr) == pytest.approx(30 - 3, abs=1e-9)
+    values = np.einsum("ij,jk,ik->i", W, sol.X, W)
+    assert sol.t == pytest.approx(values.max(), abs=1e-12)
 
 
 @pytest.mark.parametrize("eta", [1e-300, 1e-8, 1.0, 1e8, 1e300, math.inf])
