@@ -60,13 +60,6 @@ class MissingKeyError(CliError):
 
 def _cast(key: str, val: str, typ):
     try:
-        if typ is bool:
-            low = val.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {val!r}")
         return typ(val)
     except ValueError as exc:
         raise CliError(f"bad value for {key!r}: {exc}") from exc
@@ -115,8 +108,6 @@ def _require(merged: dict, *names: str) -> None:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(float(v))  # builtin repr round-trips; numpy repr does not
     return str(v)
@@ -165,8 +156,6 @@ _REFINE_KEYS = {
     "k": int,
     "tol": float,
     "max_iters": int,
-    "c": int,
-    "trim": bool,
     "dump": str,
 }
 _LB_KEYS = {
@@ -415,7 +404,6 @@ def _cmd_sweep(merged: dict, out_dir: Path) -> int:
 def _cmd_refine(merged: dict, out_dir: Path) -> int:
     _require(merged, "input", "k")
     for key, ok, need in (
-        ("c", merged.get("c", 2) >= 2, "an integer >= 2"),
         ("tol", merged.get("tol", 0.0) >= 0.0, "nonnegative"),
         ("max_iters", merged.get("max_iters", 1) >= 1, ">= 1"),
     ):
@@ -446,9 +434,7 @@ def _cmd_refine(merged: dict, out_dir: Path) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     # only the keys given: refine() holds the defaults
-    given = {
-        key: merged[key] for key in ("c", "tol", "max_iters", "trim") if key in merged
-    }
+    given = {key: merged[key] for key in ("tol", "max_iters") if key in merged}
     try:
         # eps_acc is only sign-checked; its value enters no result
         V, cert, sol = refine(list(W), k, eps_acc=1.0, full_output=True, **given)
@@ -544,19 +530,15 @@ def _ledger_cell(value):
 
 
 def _add_keys(sub: argparse.ArgumentParser, keys: dict, choices: dict) -> None:
-    """One --flag per key of a table; a bool key becomes --no-<key>."""
+    """One --flag per key of a table."""
     for key, typ in keys.items():
-        flag = key.replace("_", "-")
-        if typ is bool:
-            sub.add_argument(f"--no-{flag}", dest=key, action="store_false", default=None)
-        else:
-            sub.add_argument(
-                f"--{flag}",
-                dest=key,
-                type=typ,
-                choices=choices.get(key),
-                help=_HELP.get(key),
-            )
+        sub.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type=typ,
+            choices=choices.get(key),
+            help=_HELP.get(key),
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,7 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("lowerbound", "adversarial lower-bound harness", _cmd_lowerbound, _LB_KEYS),
     )
     for name, help_text, func, keys in commands:
-        sub = subs.add_parser(name, help=help_text)
+        # no prefix matching: a removed flag such as refine's --c must not
+        # turn into --config
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         sub.add_argument("--config", help="flat key=value config file")
         sub.add_argument(
             "-o", "--output-dir", dest="output_dir", help="artifact directory"

@@ -172,21 +172,3 @@ def check_hypothesis_mc(
     hyp_y = x @ h.direction >= 0.0
     frac = float(np.count_nonzero(true_y != hyp_y)) / n_test
     return frac <= eps, n_test
-
-
-def adversarial_learn(a: np.ndarray, eps_i: float, adv_coord: int) -> np.ndarray:
-    """Worst-case-but-valid learner output: tilt `a` by eps_i along one
-    coordinate where `a` vanishes. The output stays within distance eps_i
-    of the target, so it is a legitimate answer at accuracy eps_i."""
-    a = np.asarray(a, dtype=float).ravel()
-    if not (0 <= adv_coord < a.size):
-        raise ValueError(f"adv_coord {adv_coord} out of range for dimension {a.size}")
-    if abs(a[adv_coord]) > 1e-12:
-        raise ValueError("target must vanish at the adversarial coordinate")
-    if not (0.0 <= eps_i < 1.0):
-        raise ValueError(f"eps_i must be in [0, 1), got {eps_i}")
-    if eps_i == 0.0:
-        return a.copy()
-    out = a.copy()
-    out[adv_coord] = eps_i
-    return out / np.linalg.norm(out)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Subspace, orthonormalize, principal_angles
-from .learner import adversarial_learn
 from .synthetic import NS_LB_PATTERNS, NS_LB_TRIALS, rng_substream
 
 _EXHAUSTIVE_CAP = 18  # 2^18 patterns is the largest exhaustive sweep allowed
@@ -115,6 +114,24 @@ def _tasks(patterns: np.ndarray) -> np.ndarray:
     tasks = np.zeros((n, k + 1))
     tasks[:, :k] = patterns / np.sqrt(patterns.sum(axis=1))[:, None]
     return tasks
+
+
+def adversarial_learn(a: np.ndarray, eps_i: float, adv_coord: int) -> np.ndarray:
+    """Worst-case-but-valid learner output: tilt `a` by eps_i along one
+    coordinate where `a` vanishes. The output stays within distance eps_i
+    of the target, so it is a legitimate answer at accuracy eps_i."""
+    a = np.asarray(a, dtype=float).ravel()
+    if not (0 <= adv_coord < a.size):
+        raise ValueError(f"adv_coord {adv_coord} out of range for dimension {a.size}")
+    if abs(a[adv_coord]) > 1e-12:
+        raise ValueError("target must vanish at the adversarial coordinate")
+    if not (0.0 <= eps_i < 1.0):
+        raise ValueError(f"eps_i must be in [0, 1), got {eps_i}")
+    if eps_i == 0.0:
+        return a.copy()
+    out = a.copy()
+    out[adv_coord] = eps_i
+    return out / np.linalg.norm(out)
 
 
 def _adversarial_estimates(eps: np.ndarray) -> np.ndarray:

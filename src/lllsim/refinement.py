@@ -29,13 +29,11 @@ with the same constraint values, and a reduced solution extends by the
 identity on the orthogonal complement.
 
 The solution is kept in that factored form, X = Q Xr Q' + (I - QQ'), with
-Q (d, r) orthonormal and Xr (r, r): the solver, the feasibility checks and
-the rounding work on Xr, and the d x d matrix X is built only on request
-(`SdpSolution.X`, `dump_solution`). k is clamped to r: r <= k gives
-X = I - QQ' at t = 0. Because trace(Xr) = r - k and Xr's eigenvalues lie in
-[0, 1], at least k of them are below 1, so the rounded eigenvectors lie in
-span(Q) unless more columns are asked for than Xr has; those are completed
-from coordinate vectors, in no fixed order.
+Q (d, r) orthonormal and Xr (r, r): the solver, the feasibility checks, the
+rounding and `dump_solution` work on Q and Xr, and the d x d matrix X is
+built only on request (`SdpSolution.X`). k is clamped to r: r <= k gives
+X = I - QQ' at t = 0. Rounding keeps at most 2k - 1 of Xr's eigenvectors
+and k <= r, so every rounded column lies in span(Q).
 
 Hedge's learning rate follows AdaHedge (de Rooij, van Erven, Grunwald and
 Koolen 2014, "Follow the Leader If You Can, Hedge If You Must"): with
@@ -54,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Subspace, extend, orthonormalize
+from .geometry import Subspace, orthonormalize
 from .threads import one_blas_thread
 
 DEFAULT_TOL = 1e-4
@@ -131,17 +129,6 @@ def _feature_matrix(W) -> np.ndarray:
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("feature vectors must be unit norm")
     return A
-
-
-def _complete_basis(Q: np.ndarray, extra: int) -> np.ndarray:
-    """`extra` columns orthonormal to Q's, from e_i taken smallest |Q'e_i| first."""
-    d, r = Q.shape
-    V = Subspace(basis=Q)
-    for i in np.argsort(np.einsum("ij,ij->i", Q, Q), kind="stable"):
-        if V.dim == r + extra:
-            break
-        V = extend(V, np.eye(1, d, i)[0])
-    return V.basis[:, r:]
 
 
 def _weighted_dual(Wt: np.ndarray, p: np.ndarray, k: int) -> float:
@@ -311,35 +298,19 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def round_sdp(sol: SdpSolution, k: int, c: int = 2, trim: bool = True) -> Subspace:
-    """Spectral rounding: span of the small-eigenvalue eigenvectors of X.
+def round_sdp(sol: SdpSolution) -> Subspace:
+    """Spectral rounding: span of X's eigenvectors with eigenvalue below 1/2.
 
-    The plain rule keeps c*k - 1 dimensions. With `trim`, trailing
-    eigenvectors whose eigenvalue is already >= 1/2 are dropped (floored at
-    k dimensions): any cut whose next eigenvalue is >= 1/2 preserves the
-    distance guarantee dist^2 <= 2 * value, and the trimmed subspace is
-    usually exactly k-dimensional on well-posed instances.
-
-    X's eigenvectors are Q times Xr's, then its eigenvalue-1 complement, so
-    only Xr is decomposed. The complement is built, from coordinate vectors,
-    only when more than r columns are kept (`trim=False` with c*k - 1 > r);
-    among eigenvalue-1 vectors the order is arbitrary, so which of them such
-    a cut keeps is too.
+    Keeps at least sol.k and at most 2 sol.k - 1 of them: any cut whose next
+    eigenvalue is >= 1/2 preserves the distance guarantee dist^2 <= 2 t, and
+    at most 2k - 1 eigenvalues of X (trace d - k, all in [0, 1]) lie below
+    1/2. The cut is usually exactly k on well-posed instances. X's
+    eigenvectors below 1 are Q times Xr's, so only Xr is decomposed.
     """
-    if int(c) != c or c < 2:
-        raise ValueError("c must be an integer >= 2")
-    d, r = sol.Q.shape
+    k = sol.k
     vals, vecs = np.linalg.eigh(sol.Xr)
-    cap = min(int(c) * k - 1, d)
-    if trim:
-        below = int(np.count_nonzero(vals < 0.5))
-        dims = min(max(below, k), cap)
-    else:
-        dims = cap
-    basis = sol.Q @ vecs[:, : min(dims, r)]
-    if dims > r:
-        basis = np.hstack([basis, _complete_basis(sol.Q, dims - r)])
-    return Subspace(basis=_fix_signs(basis))
+    dims = min(max(int(np.count_nonzero(vals < 0.5)), k), 2 * k - 1)
+    return Subspace(basis=_fix_signs(sol.Q @ vecs[:, :dims]))
 
 
 @one_blas_thread()
@@ -347,13 +318,11 @@ def refine(
     W,
     k: int,
     eps_acc: float,
-    c: int = 2,
     tol: float = DEFAULT_TOL,
     max_iters: int | None = None,
-    trim: bool = True,
     full_output: bool = False,
 ):
-    """Solve + round at the solver's clamped k: returns (subspace, certificate).
+    """Solve, then `round_sdp` at the solver's clamped k: (subspace, certificate).
 
     When some k-dim subspace within eps_acc of every feature exists, the
     SDP value satisfies t <= eps_acc^2 + gap and the certificate bound
@@ -367,7 +336,7 @@ def refine(
         raise ValueError("eps_acc must be positive")
     A = _feature_matrix(W)
     sol = solve_refinement_sdp(A, k, max_iters=max_iters, tol=tol)
-    V = round_sdp(sol, sol.k, c=c, trim=trim)
+    V = round_sdp(sol)
     B = V.basis
     resid = A.T - B @ (B.T @ A.T)
     cert = RefinementCertificate(
@@ -381,7 +350,11 @@ def refine(
 
 
 def dump_solution(sol: SdpSolution, path) -> None:
-    """Text dump of (t, gap, weights, checkpoints, X) for debugging."""
+    """Text dump of (t, gap, weights, checkpoints, Q, Xr) for debugging.
+
+    Every line starts with its tag: one `Q` line per row of Q (d, r) and one
+    `Xr` line per row of Xr (r, r), from which X = Q Xr Q' + (I - QQ').
+    """
     with open(path, "w") as fh:
         fh.write(
             f"t {sol.t:.17g}\ngap {sol.gap:.17g}\niterations {sol.iterations}\n"
@@ -392,5 +365,6 @@ def dump_solution(sol: SdpSolution, path) -> None:
             fh.write(
                 f"checkpoint {row[0]} {row[1]:.17g} {row[2]:.17g} {row[3]:.17g}\n"
             )
-        for row in sol.X:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        for tag, M in (("Q", sol.Q), ("Xr", sol.Xr)):
+            for row in M:
+                fh.write(tag + "".join(f" {x:.17g}" for x in row) + "\n")

@@ -31,9 +31,9 @@ import math
 
 import numpy as np
 
-from lllsim.geometry import DROP_TOL, Subspace, orthonormalize
+from lllsim.geometry import DROP_TOL, Subspace, extend, orthonormalize
 from lllsim.learner import _POLISH_BLOCK, _POLISH_EPOCHS, _count_mistakes
-from lllsim.refinement import _complete_basis, _feature_matrix, _fix_signs
+from lllsim.refinement import _feature_matrix, _fix_signs
 from lllsim.synthetic import NS_ORACLE, rng_substream
 
 _MC_CHUNK = 1 << 18
@@ -107,6 +107,17 @@ def _plane_from_spheres(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
     if abs(np.trace(P) - 2.0) > 1e-9:  # parametrization sanity
         raise AssertionError("plane parametrization broke")
     return P
+
+
+def _complete_basis(Q: np.ndarray, extra: int) -> np.ndarray:
+    """`extra` columns orthonormal to Q's, from e_i taken smallest |Q'e_i| first."""
+    d, r = Q.shape
+    V = Subspace(basis=Q)
+    for i in np.argsort(np.einsum("ij,ij->i", Q, Q), kind="stable"):
+        if V.dim == r + extra:
+            break
+        V = extend(V, np.eye(1, d, i)[0])
+    return V.basis[:, r:]
 
 
 def brute_force_refine(W, target_dim: int, grid: int = 400):
@@ -213,18 +224,11 @@ def dense_solution_X(W, k: int, Xr: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.T)
 
 
-def dense_round_sdp(X: np.ndarray, k: int, c: int = 2, trim: bool = True) -> Subspace:
-    """Spectral rounding of a d x d X through its full eigendecomposition."""
-    d = X.shape[0]
+def dense_round_sdp(X: np.ndarray, k: int) -> Subspace:
+    """`round_sdp`'s rule on a d x d X through its full eigendecomposition."""
     vals, vecs = np.linalg.eigh(X)
-    vecs = _fix_signs(vecs)
-    cap = min(int(c) * k - 1, d)
-    if trim:
-        below = int(np.count_nonzero(vals < 0.5))
-        dims = min(max(below, k), cap)
-    else:
-        dims = cap
-    return Subspace(basis=vecs[:, :dims])
+    dims = min(max(int(np.count_nonzero(vals < 0.5)), k), 2 * k - 1)
+    return Subspace(basis=_fix_signs(vecs)[:, :dims])
 
 
 def gram_schmidt_loop(vectors, drop_tol: float = DROP_TOL) -> np.ndarray:

@@ -187,25 +187,46 @@ def test_simulate_config_error_exits_2_before_any_trial(
     assert runs == [] and not out.exists()
 
 
+_SIMULATE = ("simulate", "--d", 20, "--k", 2, "--m", 5)
+_REFINE = ("refine", "--input", "feats.txt", "--k", 3)
+
+
 @pytest.mark.parametrize(
-    "flags", [("--epsilon-acc", "0.05"), ("--refine-every", "threshold")]
+    "flags",
+    [
+        (*_SIMULATE, "--epsilon-acc", "0.05"),
+        (*_SIMULATE, "--refine-every", "threshold"),
+        (*_REFINE, "--c", 3),
+        (*_REFINE, "--no-trim"),
+    ],
 )
 def test_simulate_removed_flags_exit_2(tmp_path, capsys, flags):
-    # epsilon_acc is derived from acc_constant, and r_max alone sets the schedule
+    # epsilon_acc is derived from acc_constant, r_max alone sets the
+    # schedule, and refine has one rounding rule
     out = tmp_path / "x"
     with pytest.raises(SystemExit) as exc:
-        run_cli("simulate", "--d", 20, "--k", 2, "--m", 5, *flags, "-o", out)
+        run_cli(*flags, "-o", out)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["refine_every=threshold", "epsilon_acc=0.05"])
-def test_simulate_removed_config_keys_exit_2(tmp_path, capsys, line):
+@pytest.mark.parametrize(
+    "command, lines, line",
+    [
+        pytest.param("simulate", "d=20\nk=2\nm=5\nr_max=3", line, id=line)
+        for line in ("refine_every=threshold", "epsilon_acc=0.05")
+    ]
+    + [
+        pytest.param("refine", "input=feats.txt\nk=3", line, id=line)
+        for line in ("c=3", "trim=false")
+    ],
+)
+def test_simulate_removed_config_keys_exit_2(tmp_path, capsys, command, lines, line):
     cfg = tmp_path / "cfg"
-    cfg.write_text(f"d=20\nk=2\nm=5\nr_max=3\n{line}\n")
+    cfg.write_text(f"{lines}\n{line}\n")
     out = tmp_path / "x"
-    assert run_cli("simulate", "--config", cfg, "-o", out) == 2
+    assert run_cli(command, "--config", cfg, "-o", out) == 2
     assert f"unknown config key {line.split('=')[0]!r}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -587,11 +608,10 @@ def test_refine_nonconvergence_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--c", 1, "c must be an integer >= 2, got 1"),
         ("--tol", -1, "tol must be nonnegative, got -1.0"),
         ("--max-iters", 0, "max_iters must be >= 1, got 0"),
     ],
-    ids=["c", "tol", "max_iters"],
+    ids=["tol", "max_iters"],
 )
 def test_refine_bad_option_exits_2_before_the_solver(
     tmp_path, capsys, monkeypatch, flag, value, message
@@ -614,7 +634,7 @@ def test_refine_broken_certificate_is_an_invariant_failure(
 ):
     # a rounding far from the features breaks the certificate's distance bound
     monkeypatch.setattr(
-        refinement, "round_sdp", lambda sol, k, c, trim: Subspace(np.eye(2)[:, 1:])
+        refinement, "round_sdp", lambda sol: Subspace(np.eye(2)[:, 1:])
     )
     feats = tmp_path / "feats.txt"
     feats.write_text("1 0\n")
@@ -729,7 +749,8 @@ def test_every_run_field_is_a_typed_flag(command, field):
 
 
 _COMMON_FLAGS = (("--config", "config"), ("-o", "output_dir"), ("--output-dir", "output_dir"))
-# The flags each subcommand accepted before flags were derived from key tables.
+# The flags each subcommand accepted before flags were derived from key tables,
+# less refine's --c and --no-trim, removed with the rounding's c and trim.
 _LEGACY_FLAGS = {
     "simulate": (
         ("--d", "d"), ("--k", "k"), ("--m", "m"), ("--N", "N"),
@@ -747,8 +768,7 @@ _LEGACY_FLAGS = {
     ),
     "refine": (
         ("--input", "input"), ("--k", "k"), ("--tol", "tol"),
-        ("--max-iters", "max_iters"), ("--c", "c"), ("--no-trim", "trim"),
-        ("--dump", "dump"),
+        ("--max-iters", "max_iters"), ("--dump", "dump"),
     ),
     "lowerbound": (
         ("--k", "k"), ("--eps", "eps"), ("--eps-vector", "eps_vector"),
@@ -768,9 +788,7 @@ _FLAG_VALUES = {"--mode": "rr", "--check-mode": "montecarlo"}
     ],
 )
 def test_legacy_flag_keeps_its_dest(command, flag, dest):
-    argv = [command, flag]
-    if flag != "--no-trim":
-        argv.append(_FLAG_VALUES.get(flag, "3"))
+    argv = [command, flag, _FLAG_VALUES.get(flag, "3")]
     args = cli.build_parser().parse_args(argv)
     assert getattr(args, dest) is not None
 

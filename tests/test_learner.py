@@ -9,7 +9,6 @@ from lllsim.learner import (
     Hypothesis,
     _count_mistakes,
     _polish,
-    adversarial_learn,
     budget,
     check_hypothesis,
     check_hypothesis_mc,
@@ -243,38 +242,6 @@ def test_check_hypothesis_mc_cost_and_agreement():
     bad = Hypothesis(direction=np.eye(5)[1], samples_used=0)
     ok_bad, _ = check_hypothesis_mc(bad, 0, gt, eps=0.1, rng=np.random.default_rng(1))
     assert not ok_bad
-
-
-def test_adversarial_learn_frozen_value():
-    a = np.array([1.0, 0.0, 0.0])
-    out = adversarial_learn(a, eps_i=0.1, adv_coord=2)
-    expected = np.array([1.0, 0.0, 0.1]) / math.sqrt(1.01)
-    assert np.allclose(out, expected, atol=1e-15)
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_adversarial_learn_zero_eps_and_distance_bound():
-    a = np.array([0.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(adversarial_learn(a, 0.0, 3), a)
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        k = int(rng.integers(1, 6))
-        v = rng.standard_normal(k)
-        v /= np.linalg.norm(v)
-        a = np.concatenate([v, [0.0]])
-        eps = float(rng.uniform(0.0, 0.9))
-        out = adversarial_learn(a, eps, k)
-        assert np.linalg.norm(out - a) <= eps + 1e-12
-
-
-def test_adversarial_learn_validates():
-    a = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        adversarial_learn(a, 0.1, 5)
-    with pytest.raises(ValueError):
-        adversarial_learn(np.array([1.0, 0.5]), 0.1, 1)
-    with pytest.raises(ValueError):
-        adversarial_learn(a, 1.5, 1)
 
 
 def test_hypothesis_requires_unit_direction():

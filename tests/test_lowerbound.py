@@ -8,6 +8,7 @@ from lllsim.lowerbound import (
     LowerBoundInstance,
     _draw_patterns,
     adversarial_combination,
+    adversarial_learn,
     adversarial_subspace_angle,
     allocation_cost,
     build_instance,
@@ -264,3 +265,35 @@ def test_ledger_report_is_plain_data():
         holder_ok=True,
     )
     assert rep.total == 3.0
+
+
+def test_adversarial_learn_frozen_value():
+    a = np.array([1.0, 0.0, 0.0])
+    out = adversarial_learn(a, eps_i=0.1, adv_coord=2)
+    expected = np.array([1.0, 0.0, 0.1]) / math.sqrt(1.01)
+    assert np.allclose(out, expected, atol=1e-15)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_adversarial_learn_zero_eps_and_distance_bound():
+    a = np.array([0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(adversarial_learn(a, 0.0, 3), a)
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        k = int(rng.integers(1, 6))
+        v = rng.standard_normal(k)
+        v /= np.linalg.norm(v)
+        a = np.concatenate([v, [0.0]])
+        eps = float(rng.uniform(0.0, 0.9))
+        out = adversarial_learn(a, eps, k)
+        assert np.linalg.norm(out - a) <= eps + 1e-12
+
+
+def test_adversarial_learn_validates():
+    a = np.array([1.0, 0.0])
+    with pytest.raises(ValueError):
+        adversarial_learn(a, 0.1, 5)
+    with pytest.raises(ValueError):
+        adversarial_learn(np.array([1.0, 0.5]), 0.1, 1)
+    with pytest.raises(ValueError):
+        adversarial_learn(a, 1.5, 1)

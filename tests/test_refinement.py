@@ -218,26 +218,30 @@ def _manual_solution(eigvals, k):
 
 def test_round_zero_block():
     sol = _manual_solution([0.0, 1.0, 1.0, 1.0], k=1)
-    V = round_sdp(sol, k=1)
+    V = round_sdp(sol)
     assert V.dim == 1
     assert np.allclose(np.abs(V.basis[:, 0]), np.eye(4)[0], atol=1e-12)
 
 
 def test_round_trim_vs_plain():
-    # trace 4 = d - k with d=6, k=2; eigenvalues 0.2, 0.4 sit below 1/2
+    # trace 4 = d - k with d=6, k=2. With two eigenvalues below 1/2 the cut
+    # keeps 2 columns, fewer than the plain rule's 2k - 1 = 3; with three
+    # below 1/2 it keeps all 3, as many as X can have
     sol = _manual_solution([0.2, 0.4, 0.6, 0.8, 1.0, 1.0], k=2)
-    trimmed = round_sdp(sol, k=2, trim=True)
+    trimmed = round_sdp(sol)
     assert trimmed.dim == 2
-    plain = round_sdp(sol, k=2, trim=False)
+    assert np.allclose(np.abs(trimmed.basis), np.eye(6)[:, :2], atol=1e-12)
+    sol = _manual_solution([0.3, 0.4, 0.45, 0.95, 0.95, 0.95], k=2)
+    plain = round_sdp(sol)
     assert plain.dim == 3
     for V in (trimmed, plain):
         assert np.allclose(V.basis.T @ V.basis, np.eye(V.dim), atol=1e-10)
 
 
 def test_round_floor_at_k():
-    # no eigenvalue below 1/2: trim still returns k dimensions
+    # no eigenvalue below 1/2: the rounding still returns k dimensions
     sol = _manual_solution([0.5, 0.5, 1.0], k=1)
-    assert round_sdp(sol, k=1, trim=True).dim == 1
+    assert round_sdp(sol).dim == 1
 
 
 def test_round_sign_convention():
@@ -256,7 +260,7 @@ def test_round_sign_convention():
         k=2,
         checkpoints=((1, 1.0, 1.0, 0.0),),
     )
-    V = round_sdp(sol, k=2)
+    V = round_sdp(sol)
     assert V.dim == 2
     for j in range(V.dim):
         col = V.basis[:, j]
@@ -264,41 +268,33 @@ def test_round_sign_convention():
         assert col[nz[0]] > 0.0
 
 
-def test_round_validates_c():
-    sol = _manual_solution([0.0, 1.0, 1.0, 1.0], k=1)
-    with pytest.raises(ValueError):
-        round_sdp(sol, k=1, c=1)
-
-
 def _unit_rows(seed, n, d):
     W = np.random.default_rng(seed).standard_normal((n, d))
     return W / np.linalg.norm(W, axis=1)[:, None]
 
 
-def _factored_and_dense(W, k, sol, c=2, trim=True):
+def _factored_and_dense(W, sol):
     """Round sol both ways after checking sol.X against the dense X."""
-    X = dense_solution_X(W, k, sol.Xr)
+    X = dense_solution_X(W, sol.k, sol.Xr)
     assert np.array_equal(sol.X, X)
-    V = round_sdp(sol, k, c=c, trim=trim)
-    D = dense_round_sdp(X, k, c=c, trim=trim)
+    V = round_sdp(sol)
+    D = dense_round_sdp(X, sol.k)
     assert V.dim == D.dim
-    return V, D, X
+    return V, D
 
 
-@pytest.mark.parametrize("trim", [True, False])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_factored_rounding_matches_dense_near_planted(seed, trim, near_planted_rows):
+def test_factored_rounding_matches_dense_near_planted(seed, near_planted_rows):
     W = near_planted_rows(seed)
     sol = solve_refinement_sdp(W, 3)
-    V, D, _ = _factored_and_dense(W, 3, sol, trim=trim)
+    V, D = _factored_and_dense(W, sol)
     assert principal_angles(V, D)[0] <= 1e-9
 
 
-@pytest.mark.parametrize("trim", [True, False])
-def test_factored_rounding_matches_dense_gaussian_rows(trim):
+def test_factored_rounding_matches_dense_gaussian_rows():
     W = _unit_rows(0, 100, 30)
     sol = solve_refinement_sdp(W, k=3, tol=5e-3)
-    V, D, _ = _factored_and_dense(W, 3, sol, trim=trim)
+    V, D = _factored_and_dense(W, sol)
     assert principal_angles(V, D)[0] <= 1e-9
 
 
@@ -308,28 +304,9 @@ def test_factored_rounding_matches_dense_at_rank_up_to_k(n, k):
     W = _unit_rows(4, n, 6)
     sol = solve_refinement_sdp(W, k)
     assert sol.k == n and sol.Q.shape == (6, n) and sol.t == 0.0
-    V, D, _ = _factored_and_dense(W, sol.k, sol)
+    V, D = _factored_and_dense(W, sol)
     assert V.dim == sol.k
     assert principal_angles(V, D)[0] <= 1e-9
-
-
-@pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 2)])
-def test_untrimmed_rounding_past_the_eigenvalues_below_one(n, k):
-    # c=3 without trim keeps 3k-1 columns, more than X has eigenvalues below
-    # 1; the rest come from X's eigenvalue-1 eigenspace, where the order of
-    # the tied vectors is arbitrary, so the two roundings may keep different
-    # vectors of it: both must be eigenvalue-1 vectors of X
-    W = _unit_rows(6, n, 8)
-    sol = solve_refinement_sdp(W, k)
-    V, D, X = _factored_and_dense(W, k, sol, c=3, trim=False)
-    assert V.dim == 3 * k - 1
-    below = int(np.count_nonzero(np.linalg.eigvalsh(sol.Xr) < 1.0 - 1e-6))
-    assert below < V.dim
-    head = [Subspace(basis=B.basis[:, :below]) for B in (V, D)]
-    assert principal_angles(*head)[0] <= 1e-9
-    for B in (V.basis, D.basis):
-        assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-10)
-        assert np.allclose(X @ B[:, below:], B[:, below:], atol=1e-9)
 
 
 def test_refine_in_a_large_ambient_space_builds_no_d_by_d_matrix():
@@ -357,19 +334,16 @@ def _peak_bytes(fn):
 
 
 def test_completion_past_the_rank_builds_no_d_by_d_matrix():
-    # [e0, e1] in R^2000: completing span(Q) by a QR of [Q, I] peaked at
-    # 132 MB; extending it by coordinate vectors needs O(d k)
+    # [e0, e1] in R^2000 at k = 3 > rank 2: completing span(Q) by a QR of
+    # [Q, I] peaked at 132 MB; the solver clamps k to the rank instead of
+    # completing, and the rounding stays in span(Q)
     W = [np.eye(1, 2000, 0)[0], np.eye(1, 2000, 1)[0]]
-    sol = solve_refinement_sdp(W, k=2)
-    V, peak = _peak_bytes(lambda: round_sdp(sol, 2, c=3, trim=False))
+    sol, peak = _peak_bytes(lambda: solve_refinement_sdp(W, k=3))
     assert peak < 8e6
-    assert V.dim == 5
-    B = V.basis
-    assert np.allclose(B.T @ B, np.eye(5), atol=1e-12)
-    assert np.allclose(sol.Q.T @ B[:, 2:], 0.0, atol=1e-12)
-    direct, peak = _peak_bytes(lambda: solve_refinement_sdp(W, k=3))
+    assert sol.k == 2 and sol.Q.shape == (2000, 2) and sol.t == 0.0
+    V, peak = _peak_bytes(lambda: round_sdp(sol))
     assert peak < 8e6
-    assert direct.k == 2 and direct.Q.shape == (2000, 2) and direct.t == 0.0
+    assert principal_angles(V, Subspace(basis=sol.Q))[0] <= 1e-12
 
 
 def test_refine_planted_certificate():
@@ -488,4 +462,12 @@ def test_dump_solution_roundtrippable_text(tmp_path):
     assert text[0].startswith("t ")
     assert float(text[0].split()[1]) == sol.t
     assert any(line.startswith("checkpoint") for line in text)
-    assert len([l for l in text if not l[0].isalpha()]) == 3  # X rows
+    rows = {"Q": [], "Xr": []}
+    for line in text:
+        tag, *vals = line.split()
+        if tag in rows:
+            rows[tag].append([float(v) for v in vals])
+    Q, Xr = np.array(rows["Q"]), np.array(rows["Xr"])
+    assert Q.shape == (3, 2) and Xr.shape == (2, 2)
+    X = Q @ Xr @ Q.T + (np.eye(3) - Q @ Q.T)
+    assert np.allclose(X, sol.X, rtol=0.0, atol=1e-12)
