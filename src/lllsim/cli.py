@@ -404,7 +404,7 @@ def _cmd_sweep(merged: dict, out_dir: Path) -> int:
 def _cmd_refine(merged: dict, out_dir: Path) -> int:
     _require(merged, "input", "k")
     for key, ok, need in (
-        ("tol", merged.get("tol", 0.0) >= 0.0, "nonnegative"),
+        ("tol", 0.0 <= merged.get("tol", 0.0) < math.inf, "nonnegative and finite"),
         ("max_iters", merged.get("max_iters", 1) >= 1, ">= 1"),
     ):
         if not ok:

@@ -107,8 +107,8 @@ class RunConfig:
             raise ValueError("seed must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.c_s <= 0.0:
-            raise ValueError("c_s must be positive")
+        if not (0.0 < self.c_s < math.inf):  # NaN fails both comparisons
+            raise ValueError(f"c_s must be positive and finite, got {self.c_s}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.check_mode not in CHECK_MODES:
@@ -120,8 +120,10 @@ class RunConfig:
             raise ValueError(f"rr mode needs k < d, got k={self.k}, d={self.d}")
         if self.r_max is not None and self.r_max < 1:
             raise ValueError("r_max must be >= 1")
-        if self.sdp_tol <= 0.0:
-            raise ValueError("sdp_tol must be positive")
+        if not (0.0 < self.sdp_tol < math.inf):
+            raise ValueError(
+                f"sdp_tol must be positive and finite, got {self.sdp_tol}"
+            )
         if self.sdp_max_iters is not None and self.sdp_max_iters < 1:
             raise ValueError("sdp_max_iters must be >= 1")
 

@@ -38,8 +38,8 @@ def budget(dim: int, eps_target: float, c_s: float) -> int:
         raise ValueError("dim must be >= 1")
     if not (0.0 < eps_target < 0.5):
         raise ValueError(f"eps_target must be in (0, 1/2), got {eps_target}")
-    if c_s <= 0.0:
-        raise ValueError("c_s must be positive")
+    if not (0.0 < c_s < math.inf):  # NaN fails both comparisons
+        raise ValueError(f"c_s must be positive and finite, got {c_s}")
     return math.ceil(c_s * dim * math.log(1.0 / eps_target) / eps_target)
 
 

@@ -3,10 +3,14 @@
 The hard construction: k basis tasks along coordinate axes in R^{k+1},
 answered by a worst-case-but-valid learner that tilts every estimate into
 the one spare coordinate. Random follow-up tasks are Bernoulli combinations
-of the axes. The harness verifies the geometry (closed-form subspace angle,
-high-probability angle lower bound for new tasks), the subset-selection
-procedure behind the argument, and the sample-cost accounting whose
-minimum over allocations is d k^{1.5} / eps.
+of the axes. The harness builds that instance (`build_instance`), measures
+how far new combination tasks sit from the adversarially learned span
+against the high-probability angle bound (`new_task_angle_stats`), and
+prices an allocation of basis-task accuracies (`sample_complexity_ledger`),
+whose minimum over allocations is d k^{1.5} / eps. The proof's other steps
+(the closed-form subspace angle, the exhaustive exceedance sweep, the
+adversary's answer to a combination task and the balanced-subset filter)
+live in `tests/oracle.py`, next to the tests that check them.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Subspace, orthonormalize, principal_angles
+from .geometry import Subspace, orthonormalize
 from .synthetic import NS_LB_PATTERNS, NS_LB_TRIALS, rng_substream
-
-_EXHAUSTIVE_CAP = 18  # 2^18 patterns is the largest exhaustive sweep allowed
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,6 @@ class LowerBoundInstance:
     def d(self) -> int:
         return self.k + 1
 
-    @property
-    def basis_tasks(self) -> np.ndarray:
-        return np.eye(self.k, self.d)  # (k, d) rows e_1..e_k
-
-    @property
-    def random_tasks(self) -> np.ndarray:
-        return _tasks(self.patterns)  # (n_random, d) normalized patterns
-
     def adversarial_span(self) -> Subspace:
         """Span of the estimates for the subset S."""
         return orthonormalize(_adversarial_estimates(self.eps_vector)[list(self.S)])
@@ -64,21 +58,6 @@ class AngleStats:
     threshold: float
     fraction_exceeding: float
     bound: float  # 1 - exp(-|S|/128)
-
-
-@dataclass(frozen=True)
-class SubsetReport:
-    S: tuple
-    p: float
-    C: float
-    gamma: float
-    iterations: int
-
-    def __post_init__(self):
-        if not (0.0 < self.p < 1.0) or self.C <= 1.0:
-            raise ValueError("need 0 < p < 1 and C > 1")
-        if len(self.S) == 0:
-            raise ValueError("subset may not be empty")
 
 
 @dataclass(frozen=True)
@@ -162,23 +141,6 @@ def build_instance(
     return LowerBoundInstance(k=k, patterns=patterns, eps_vector=eps, S=S, seed=seed)
 
 
-def adversarial_subspace_angle(eps_vector) -> float:
-    """Largest principal angle the adversary can force on the basis tasks.
-
-    Tilting each axis estimate by eps_i into the spare coordinate makes the
-    learned span the graph of x -> <eps, x>, whose largest principal angle
-    to the true span is arctan(||eps||).
-    """
-    eps = np.asarray(eps_vector, dtype=float).ravel()
-    if eps.size == 0:
-        raise ValueError("eps_vector must be nonempty")
-    if np.any(eps < 0.0) or np.any(eps >= 0.5):
-        raise ValueError("eps entries must lie in [0, 1/2)")
-    V = orthonormalize(_adversarial_estimates(eps))
-    U = orthonormalize(np.eye(eps.size, eps.size + 1))
-    return float(principal_angles(V, U)[0])
-
-
 def _exceedance(instance: LowerBoundInstance, patterns: np.ndarray) -> AngleStats:
     """Angles of the patterns' tasks to the adversarially learned span.
 
@@ -223,63 +185,6 @@ def new_task_angle_stats(
     rng = rng_substream(instance.seed, NS_LB_TRIALS)
     patterns = _draw_patterns(rng, trials, instance.k, list(instance.S))
     return _exceedance(instance, patterns)
-
-
-def exhaustive_angle_stats(instance: LowerBoundInstance) -> AngleStats:
-    """Same statistic over every nonzero pattern on S (small |S| only)."""
-    s = len(instance.S)
-    if s > _EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive enumeration capped at |S| <= {_EXHAUSTIVE_CAP}")
-    patterns = np.zeros((2**s - 1, instance.k))
-    patterns[:, list(instance.S)] = (np.arange(1, 2**s)[:, None] >> np.arange(s)) & 1
-    return _exceedance(instance, patterns)
-
-
-def adversarial_combination(instance: LowerBoundInstance, pattern) -> np.ndarray:
-    """Adversarial answer for a combination task: the nearest unit vector
-    inside the already-learned span, so the span never grows."""
-    pattern = np.asarray(pattern, dtype=float).ravel()
-    ok = pattern.shape == (instance.k,) and np.isin(pattern, (0.0, 1.0)).all()
-    if not (ok and pattern.any()):
-        raise ValueError("pattern must be a nonzero 0/1 vector of length k")
-    a = _tasks(pattern[None, :])[0]
-    B = instance.adversarial_span().basis
-    proj = B @ (B.T @ a)
-    nrm = np.linalg.norm(proj)
-    if nrm == 0.0:
-        raise ValueError("task orthogonal to the learned span")
-    return proj / nrm
-
-
-def find_balanced_subset(b, p: float, C: float) -> SubsetReport:
-    """Filter to a subset on which no entry exceeds gamma times the RMS.
-
-    Repeatedly drops entries above gamma * RMS of the survivors, with
-    gamma = sqrt((1/p) ln(C^2/(1-p))). For inputs satisfying b_i >= mean/C
-    the fixpoint keeps at least (1-p) k entries.
-    """
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size == 0 or np.any(b < 0.0):
-        raise ValueError("b must be nonempty and nonnegative")
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must be in (0, 1)")
-    if C <= 1.0:
-        raise ValueError("C must exceed 1")
-    mean = float(b.mean())
-    if np.any(b < mean / C - 1e-12):
-        raise ValueError("hypothesis violated: some entry is below mean/C")
-    gamma = math.sqrt((1.0 / p) * math.log(C * C / (1.0 - p)))
-    S = list(range(b.size))
-    iterations = 0
-    while True:
-        iterations += 1
-        vals = b[S]
-        thresh = gamma * math.sqrt(float(np.sum(vals**2)) / len(S))
-        kept = [i for i in S if b[i] <= thresh]
-        if len(kept) == len(S):
-            break
-        S = kept
-    return SubsetReport(S=tuple(S), p=p, C=C, gamma=gamma, iterations=iterations)
 
 
 def allocation_cost(d: int, k: int, allocation, eps_target: float, n_random: int):

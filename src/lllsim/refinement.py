@@ -31,9 +31,9 @@ identity on the orthogonal complement.
 The solution is kept in that factored form, X = Q Xr Q' + (I - QQ'), with
 Q (d, r) orthonormal and Xr (r, r): the solver, the feasibility checks, the
 rounding and `dump_solution` work on Q and Xr, and the d x d matrix X is
-built only on request (`SdpSolution.X`). k is clamped to r: r <= k gives
-X = I - QQ' at t = 0. Rounding keeps at most 2k - 1 of Xr's eigenvectors
-and k <= r, so every rounded column lies in span(Q).
+never built. k is clamped to r: r <= k gives X = I - QQ' at t = 0.
+Rounding keeps at most 2k - 1 of Xr's eigenvectors and k <= r, so every
+rounded column lies in span(Q).
 
 Hedge's learning rate follows AdaHedge (de Rooij, van Erven, Grunwald and
 Koolen 2014, "Follow the Leader If You Can, Hedge If You Must"): with
@@ -95,13 +95,6 @@ class SdpSolution:
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < -1e-12) or abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must be a probability vector")
-
-    @property
-    def X(self) -> np.ndarray:
-        """The (d, d) matrix X, built on each access."""
-        d = self.Q.shape[0]
-        X = self.Q @ self.Xr @ self.Q.T + (np.eye(d) - self.Q @ self.Q.T)
-        return 0.5 * (X + X.T)
 
 
 @dataclass(frozen=True)
@@ -176,8 +169,8 @@ def solve_refinement_sdp(
     n, d = A.shape
     if not (1 <= k < d):
         raise ValueError(f"need 1 <= k < d, got k={k}, d={d}")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not (0.0 <= tol < math.inf):  # NaN fails both comparisons
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     if max_iters is not None and max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 

@@ -21,6 +21,24 @@ row at a time, redrawing each all-zero row, as the harness did before it
 drew them in blocks. The lower-bound tests compare `_draw_patterns` against
 it bit for bit.
 
+`adversarial_subspace_angle` is the largest principal angle between the
+basis tasks' span and the span of the adversary's answers to them, computed
+with `orthonormalize` and `principal_angles`. The lower-bound tests compare
+it with the proof's closed form arctan(||eps||).
+
+`exhaustive_angle_stats` is the harness's exceedance statistic taken over
+every nonzero pattern on S, 2^|S| - 1 of them, for |S| <= `_EXHAUSTIVE_CAP`.
+The tests compare it with the sampled statistic of `new_task_angle_stats`.
+
+`adversarial_combination` is the adversary's answer to a combination task:
+the task's nearest unit vector in the already learned span, so the span
+never grows. The tests check that the answer stays in that span.
+
+`find_balanced_subset` is the proof's filter that repeatedly drops entries
+above gamma times the RMS of the survivors and reports the fixpoint as a
+`SubsetReport`. The tests check the proof's guarantee that at least
+(1 - p) k entries survive, and that every survivor stays under the cap.
+
 `disagreement_mc` estimates the disagreement of two halfspaces from Gaussian
 draws on the `NS_ORACLE` substream; the geometry suite compares the exact
 angle formula against it. `project` and `dist_to_subspace` are the
@@ -28,15 +46,30 @@ orthogonal projection onto a subspace and the distance to it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from lllsim.geometry import DROP_TOL, Subspace, extend, orthonormalize
+from lllsim.geometry import (
+    DROP_TOL,
+    Subspace,
+    extend,
+    orthonormalize,
+    principal_angles,
+)
 from lllsim.learner import _POLISH_BLOCK, _POLISH_EPOCHS, _count_mistakes
+from lllsim.lowerbound import (
+    AngleStats,
+    LowerBoundInstance,
+    _adversarial_estimates,
+    _exceedance,
+    _tasks,
+)
 from lllsim.refinement import _feature_matrix, _fix_signs
 from lllsim.synthetic import NS_ORACLE, rng_substream
 
 _MC_CHUNK = 1 << 18
+_EXHAUSTIVE_CAP = 18  # 2^18 patterns is the largest exhaustive sweep allowed
 
 
 def _sphere_grid(d: int, grid: int) -> np.ndarray:
@@ -291,6 +324,95 @@ def draw_patterns_loop(rng: np.random.Generator, n: int, k: int, cols) -> np.nda
             row = rng.integers(0, 2, size=len(cols))
         patterns[j, cols] = row
     return patterns
+
+
+def adversarial_subspace_angle(eps_vector) -> float:
+    """Largest principal angle the adversary can force on the basis tasks.
+
+    Tilting each axis estimate by eps_i into the spare coordinate makes the
+    learned span the graph of x -> <eps, x>, whose largest principal angle
+    to the true span is arctan(||eps||).
+    """
+    eps = np.asarray(eps_vector, dtype=float).ravel()
+    if eps.size == 0:
+        raise ValueError("eps_vector must be nonempty")
+    if np.any(eps < 0.0) or np.any(eps >= 0.5):
+        raise ValueError("eps entries must lie in [0, 1/2)")
+    V = orthonormalize(_adversarial_estimates(eps))
+    U = orthonormalize(np.eye(eps.size, eps.size + 1))
+    return float(principal_angles(V, U)[0])
+
+
+def exhaustive_angle_stats(instance: LowerBoundInstance) -> AngleStats:
+    """Same statistic over every nonzero pattern on S (small |S| only)."""
+    s = len(instance.S)
+    if s > _EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive enumeration capped at |S| <= {_EXHAUSTIVE_CAP}")
+    patterns = np.zeros((2**s - 1, instance.k))
+    patterns[:, list(instance.S)] = (np.arange(1, 2**s)[:, None] >> np.arange(s)) & 1
+    return _exceedance(instance, patterns)
+
+
+def adversarial_combination(instance: LowerBoundInstance, pattern) -> np.ndarray:
+    """Adversarial answer for a combination task: the nearest unit vector
+    inside the already-learned span, so the span never grows."""
+    pattern = np.asarray(pattern, dtype=float).ravel()
+    ok = pattern.shape == (instance.k,) and np.isin(pattern, (0.0, 1.0)).all()
+    if not (ok and pattern.any()):
+        raise ValueError("pattern must be a nonzero 0/1 vector of length k")
+    a = _tasks(pattern[None, :])[0]
+    B = instance.adversarial_span().basis
+    proj = B @ (B.T @ a)
+    nrm = np.linalg.norm(proj)
+    if nrm == 0.0:
+        raise ValueError("task orthogonal to the learned span")
+    return proj / nrm
+
+
+@dataclass(frozen=True)
+class SubsetReport:
+    S: tuple
+    p: float
+    C: float
+    gamma: float
+    iterations: int
+
+    def __post_init__(self):
+        if not (0.0 < self.p < 1.0) or self.C <= 1.0:
+            raise ValueError("need 0 < p < 1 and C > 1")
+        if len(self.S) == 0:
+            raise ValueError("subset may not be empty")
+
+
+def find_balanced_subset(b, p: float, C: float) -> SubsetReport:
+    """Filter to a subset on which no entry exceeds gamma times the RMS.
+
+    Repeatedly drops entries above gamma * RMS of the survivors, with
+    gamma = sqrt((1/p) ln(C^2/(1-p))). For inputs satisfying b_i >= mean/C
+    the fixpoint keeps at least (1-p) k entries.
+    """
+    b = np.asarray(b, dtype=float).ravel()
+    if b.size == 0 or np.any(b < 0.0):
+        raise ValueError("b must be nonempty and nonnegative")
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must be in (0, 1)")
+    if C <= 1.0:
+        raise ValueError("C must exceed 1")
+    mean = float(b.mean())
+    if np.any(b < mean / C - 1e-12):
+        raise ValueError("hypothesis violated: some entry is below mean/C")
+    gamma = math.sqrt((1.0 / p) * math.log(C * C / (1.0 - p)))
+    S = list(range(b.size))
+    iterations = 0
+    while True:
+        iterations += 1
+        vals = b[S]
+        thresh = gamma * math.sqrt(float(np.sum(vals**2)) / len(S))
+        kept = [i for i in S if b[i] <= thresh]
+        if len(kept) == len(S):
+            break
+        S = kept
+    return SubsetReport(S=tuple(S), p=p, C=C, gamma=gamma, iterations=iterations)
 
 
 def disagreement_mc(u: np.ndarray, v: np.ndarray, n: int, seed: int) -> float:

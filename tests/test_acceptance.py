@@ -16,17 +16,18 @@ import pytest
 
 from lllsim.driver import RunConfig, run_trials
 from lllsim.geometry import Subspace, orthonormalize, principal_angles
-from lllsim.lowerbound import (
-    adversarial_subspace_angle,
-    allocation_cost,
-    build_instance,
-    exhaustive_angle_stats,
-    find_balanced_subset,
-    new_task_angle_stats,
-)
+from lllsim.lowerbound import allocation_cost, build_instance, new_task_angle_stats
 from lllsim.refinement import refine, solve_refinement_sdp
 from lllsim.synthetic import disagreement_exact
-from oracle import disagreement_mc, dist_to_subspace, project
+from oracle import (
+    adversarial_subspace_angle,
+    dense_solution_X,
+    disagreement_mc,
+    dist_to_subspace,
+    exhaustive_angle_stats,
+    find_balanced_subset,
+    project,
+)
 
 N_PLANTED = 50
 PLANTED_D, PLANTED_K, PLANTED_N, PLANTED_EPS = 100, 5, 30, 0.02
@@ -55,7 +56,7 @@ def planted_solutions():
         feats = _planted_features(rng, PLANTED_D, PLANTED_K, PLANTED_N, PLANTED_EPS)
         t0 = time.perf_counter()
         V, cert, sol = refine(feats, PLANTED_K, eps_acc=PLANTED_EPS, full_output=True)
-        out.append((V, cert, sol, time.perf_counter() - t0))
+        out.append((V, cert, sol, time.perf_counter() - t0, feats))
     return out
 
 
@@ -63,7 +64,7 @@ def test_refinement_certificate_on_planted_instances(planted_solutions):
     # every feature must stay within sqrt(2)*eps (plus 5% slack) of the
     # rounded subspace, whose dimension may not exceed 2k-1
     bound = math.sqrt(2.0) * PLANTED_EPS * 1.05
-    for V, cert, _, elapsed in planted_solutions:
+    for V, cert, _, elapsed, _ in planted_solutions:
         assert cert.dims <= 2 * PLANTED_K - 1
         assert V.basis.shape[1] == cert.dims
         assert cert.max_distance <= bound
@@ -92,11 +93,13 @@ def test_sdp_value_matches_brute_force_on_two_axes():
 
 def test_solved_instances_keep_eigenvalue_floor(planted_solutions):
     # ascending eigenvalues: entry 2k-1 (0-based) is the (2k)-th smallest
-    for _, _, sol, _ in planted_solutions:
-        lam = np.linalg.eigvalsh(sol.X)
+    for _, _, sol, _, feats in planted_solutions:
+        lam = np.linalg.eigvalsh(dense_solution_X(feats, sol.k, sol.Xr))
         assert lam[2 * PLANTED_K - 1] >= 0.5 - 1e-4
-    two_axes = solve_refinement_sdp([np.eye(3)[0], np.eye(3)[1]], k=1)
-    assert np.linalg.eigvalsh(two_axes.X)[1] >= 0.5 - 1e-4
+    axes = [np.eye(3)[0], np.eye(3)[1]]
+    two_axes = solve_refinement_sdp(axes, k=1)
+    lam = np.linalg.eigvalsh(dense_solution_X(axes, two_axes.k, two_axes.Xr))
+    assert lam[1] >= 0.5 - 1e-4
 
 
 def test_lifelong_protocol_dims_accuracy_and_angle_advantage():

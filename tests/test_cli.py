@@ -172,8 +172,13 @@ def test_simulate_rr_with_k_equal_d_exits_2_before_any_trial(
     [
         (["--mode", "all", "--N", 0], "joint mode needs N >= 1"),
         (["--mode", "rr", "--sdp-max-iters", 0], "sdp_max_iters must be >= 1"),
+        (["--mode", "rr", "--c-s", "inf"], "c_s must be positive and finite, got inf"),
+        (
+            ["--mode", "rr", "--sdp-tol", "nan"],
+            "sdp_tol must be positive and finite, got nan",
+        ),
     ],
-    ids=["joint-N-0", "rr-sdp-max-iters-0"],
+    ids=["joint-N-0", "rr-sdp-max-iters-0", "rr-c-s-inf", "rr-sdp-tol-nan"],
 )
 def test_simulate_config_error_exits_2_before_any_trial(
     tmp_path, capsys, monkeypatch, flags, message
@@ -608,10 +613,12 @@ def test_refine_nonconvergence_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--tol", -1, "tol must be nonnegative, got -1.0"),
+        ("--tol", -1, "tol must be nonnegative and finite, got -1.0"),
+        ("--tol", "inf", "tol must be nonnegative and finite, got inf"),
+        ("--tol", "nan", "tol must be nonnegative and finite, got nan"),
         ("--max-iters", 0, "max_iters must be >= 1, got 0"),
     ],
-    ids=["tol", "max_iters"],
+    ids=["tol", "tol-inf", "tol-nan", "max_iters"],
 )
 def test_refine_bad_option_exits_2_before_the_solver(
     tmp_path, capsys, monkeypatch, flag, value, message

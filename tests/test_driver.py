@@ -67,6 +67,8 @@ def test_config_is_frozen():
         dict(d=10, k=4, m=5, acc_constant=1e308),  # finite, but epsilon_acc is 0
         dict(d=10, k=2, m=5, acc_constant=math.nan),
         dict(d=10, k=2, m=5, c_s=0.0),
+        dict(d=10, k=2, m=5, c_s=math.inf),
+        dict(d=10, k=2, m=5, c_s=math.nan),
         dict(d=10, k=2, m=5, trials=0),
         dict(d=10, k=2, m=5, seed=-1),
         dict(d=10, k=2, m=5, N=-1),
@@ -74,6 +76,8 @@ def test_config_is_frozen():
         dict(d=10, k=2, m=5, check_mode="exact"),
         dict(d=10, k=2, m=5, r_max=0),
         dict(d=10, k=2, m=5, sdp_tol=0.0),
+        dict(d=10, k=2, m=5, sdp_tol=math.inf),
+        dict(d=10, k=2, m=5, sdp_tol=math.nan),
         dict(d=5, k=5, m=30, mode="rr"),  # refinement needs k < d
         dict(d=10, k=2, m=5, N=0, mode="joint"),  # joint pools N samples per task
         dict(d=10, k=2, m=5, sdp_max_iters=0),

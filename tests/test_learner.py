@@ -57,8 +57,9 @@ def test_budget_validates():
         budget(10, 0.0, 4.0)
     with pytest.raises(ValueError):
         budget(0, 0.1, 4.0)
-    with pytest.raises(ValueError):
-        budget(10, 0.1, c_s=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_s must be positive and finite"):
+            budget(10, 0.1, c_s=bad)
 
 
 def test_estimate_direction_noiseless_target():

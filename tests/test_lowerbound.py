@@ -7,34 +7,38 @@ from lllsim.lowerbound import (
     LedgerReport,
     LowerBoundInstance,
     _draw_patterns,
-    adversarial_combination,
+    _tasks,
     adversarial_learn,
-    adversarial_subspace_angle,
     allocation_cost,
     build_instance,
-    exhaustive_angle_stats,
-    find_balanced_subset,
     new_task_angle_stats,
     sample_complexity_ledger,
 )
 from lllsim.synthetic import rng_substream
-from oracle import dist_to_subspace, draw_patterns_loop
+from oracle import (
+    adversarial_combination,
+    adversarial_subspace_angle,
+    dist_to_subspace,
+    draw_patterns_loop,
+    exhaustive_angle_stats,
+    find_balanced_subset,
+)
 
 
 def test_build_instance_basic_shape():
     inst = build_instance(k=2, n_random=5, seed=0, eps_vector=[0.1, 0.1])
     assert inst.d == 3
-    assert np.array_equal(inst.basis_tasks, np.eye(2, 3))
-    assert inst.random_tasks.shape == (5, 3)
-    assert np.allclose(np.linalg.norm(inst.random_tasks, axis=1), 1.0, atol=1e-12)
+    tasks = _tasks(inst.patterns)
+    assert tasks.shape == (5, 3)
+    assert np.allclose(np.linalg.norm(tasks, axis=1), 1.0, atol=1e-12)
     assert np.all(np.isin(inst.patterns, [0.0, 1.0]))
     assert np.all(inst.patterns.sum(axis=1) >= 1)  # zero draws redrawn
-    assert np.all(inst.random_tasks[:, 2] == 0.0)  # supported on S = [k]
+    assert np.all(tasks[:, 2] == 0.0)  # supported on S = [k]
 
 
 def test_build_instance_powers_of_two_count():
     inst = build_instance(k=16, n_random=256, seed=1, eps_vector=[0.1] * 16)
-    assert inst.random_tasks.shape[0] == 2 ** (16 // 2)
+    assert _tasks(inst.patterns).shape[0] == 2 ** (16 // 2)
 
 
 def test_build_instance_subset_support():

@@ -48,7 +48,8 @@ def test_solver_coordinate_features_exact():
     assert sol.gap == 0.0
     assert sol.converged
     assert sol.iterations == 0
-    assert np.allclose(sol.X, np.diag([0.0, 0.0, 1.0, 1.0, 1.0]), atol=1e-12)
+    X = dense_solution_X(W, sol.k, sol.Xr)
+    assert np.allclose(X, np.diag([0.0, 0.0, 1.0, 1.0, 1.0]), atol=1e-12)
 
 
 def test_solver_two_features_one_dim_saddle():
@@ -58,8 +59,9 @@ def test_solver_two_features_one_dim_saddle():
     assert sol.t == pytest.approx(0.5, abs=1e-6)
     assert sol.gap <= 1e-4
     assert sol.converged
-    assert sol.X[2, 2] == pytest.approx(1.0, abs=1e-9)
-    assert sol.X[0, 0] + sol.X[1, 1] == pytest.approx(1.0, abs=1e-9)
+    X = dense_solution_X(W, sol.k, sol.Xr)
+    assert X[2, 2] == pytest.approx(1.0, abs=1e-9)
+    assert X[0, 0] + X[1, 1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solver_three_axes_symmetric_value():
@@ -124,7 +126,7 @@ def test_solver_gaussian_instance_reaches_1e_3():
     eig = np.linalg.eigvalsh(sol.Xr)
     assert eig[0] >= -1e-9 and eig[-1] <= 1.0 + 1e-9
     assert np.trace(sol.Xr) == pytest.approx(30 - 3, abs=1e-9)
-    values = np.einsum("ij,jk,ik->i", W, sol.X, W)
+    values = np.einsum("ij,jk,ik->i", W, dense_solution_X(W, sol.k, sol.Xr), W)
     assert sol.t == pytest.approx(values.max(), abs=1e-12)
 
 
@@ -156,11 +158,12 @@ def test_solver_feasibility_and_value_consistency():
         k = int(rng.integers(1, 3))
         W = [v / np.linalg.norm(v) for v in rng.standard_normal((n, d))]
         sol = solve_refinement_sdp(W, k=k, max_iters=400)
-        eig = np.linalg.eigvalsh(sol.X)
+        X = dense_solution_X(W, sol.k, sol.Xr)
+        eig = np.linalg.eigvalsh(X)
         assert eig[0] >= -1e-6 and eig[-1] <= 1.0 + 1e-6
-        assert np.trace(sol.X) == pytest.approx(d - k, abs=1e-6)
+        assert np.trace(X) == pytest.approx(d - k, abs=1e-6)
         assert sol.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        values = [w @ sol.X @ w for w in W]
+        values = [w @ X @ w for w in W]
         assert sol.t == pytest.approx(max(values), abs=1e-12)
         # checkpointed gaps never increase
         gaps = [row[3] for row in sol.checkpoints]
@@ -174,7 +177,7 @@ def test_solver_nonconvergence_flag():
     assert not sol.converged
     assert sol.gap > 0.4
     assert sol.t == pytest.approx(1.0, abs=1e-12)
-    eig = np.linalg.eigvalsh(sol.X)
+    eig = np.linalg.eigvalsh(dense_solution_X(W, sol.k, sol.Xr))
     assert eig[0] >= -1e-6 and eig[-1] <= 1.0 + 1e-6
 
 
@@ -183,7 +186,7 @@ def test_solver_deterministic():
     W = [v / np.linalg.norm(v) for v in rng.standard_normal((6, 8))]
     a = solve_refinement_sdp(W, k=2, max_iters=300)
     b = solve_refinement_sdp(W, k=2, max_iters=300)
-    assert np.array_equal(a.X, b.X)
+    assert np.array_equal(a.Q, b.Q) and np.array_equal(a.Xr, b.Xr)
     assert a.t == b.t and a.gap == b.gap
 
 
@@ -198,6 +201,9 @@ def test_solver_validates():
         solve_refinement_sdp([np.eye(3)[0]], k=0)
     with pytest.raises(ValueError, match="max_iters must be >= 1"):
         solve_refinement_sdp(list(np.eye(3)), k=1, max_iters=0)
+    for bad in (-1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            solve_refinement_sdp(list(np.eye(3)), k=1, tol=bad)
 
 
 def _manual_solution(eigvals, k):
@@ -274,9 +280,9 @@ def _unit_rows(seed, n, d):
 
 
 def _factored_and_dense(W, sol):
-    """Round sol both ways after checking sol.X against the dense X."""
+    """Round sol both ways after checking sol.Q against the Gram-Schmidt basis."""
+    assert np.array_equal(sol.Q, orthonormalize(list(W)).basis)
     X = dense_solution_X(W, sol.k, sol.Xr)
-    assert np.array_equal(sol.X, X)
     V = round_sdp(sol)
     D = dense_round_sdp(X, sol.k)
     assert V.dim == D.dim
@@ -449,7 +455,7 @@ def test_relaxation_ordering_random_instances():
         assert dist**2 >= sol.t - sol.gap - 1e-9
         assert dist**2 <= 2.0 * (sol.t + sol.gap) + 0.02
         # eigenvalue floor at position 2k
-        lam = np.sort(np.linalg.eigvalsh(sol.X))
+        lam = np.sort(np.linalg.eigvalsh(dense_solution_X(W, sol.k, sol.Xr)))
         assert lam[2 * 1 - 1] >= 0.5 - 1e-4 or len(lam) < 2
 
 
@@ -470,4 +476,4 @@ def test_dump_solution_roundtrippable_text(tmp_path):
     Q, Xr = np.array(rows["Q"]), np.array(rows["Xr"])
     assert Q.shape == (3, 2) and Xr.shape == (2, 2)
     X = Q @ Xr @ Q.T + (np.eye(3) - Q @ Q.T)
-    assert np.allclose(X, sol.X, rtol=0.0, atol=1e-12)
+    assert np.allclose(X, dense_solution_X(W, sol.k, sol.Xr), rtol=0.0, atol=1e-12)
