@@ -1,9 +1,12 @@
 """Command-line entry point: simulate, sweep, refine, lowerbound.
 
-Configuration comes from an optional flat key=value file plus flags, flags
-winning; the effective configuration is echoed to output_dir/config.resolved
-so any run can be reproduced exactly from its own artifacts. All tabular
-output is CSV; a plain-text report carries invariant checks and fit lines.
+Each subcommand has one key table, {key: (type, default)}; its config-file
+keys and --flags both come from it. A run's configuration is the table's
+defaults, under an optional flat key=value file, under flags. Every command
+echoes that resolved configuration, less the keys left unset (None), to
+output_dir/config.resolved, so any run can be reproduced exactly from its
+own artifacts. All tabular output is CSV; a plain-text report carries
+invariant checks and fit lines.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation,
 4 refinement solver non-convergence.
@@ -17,7 +20,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import asdict, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +42,7 @@ from .lowerbound import (
     new_task_angle_stats,
     sample_complexity_ledger,
 )
-from .refinement import dump_solution, refine
+from .refinement import DEFAULT_TOL, dump_solution, refine
 from .threads import one_blas_thread
 
 EXIT_OK = 0
@@ -86,14 +89,14 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, keys: dict) -> dict:
-    """File values under flag overrides, every key checked and typed."""
-    keys = {**keys, "output_dir": str}
-    merged = {}
+    """Defaults under file values under flags, every key checked and typed."""
+    keys = {**keys, "output_dir": (str, None)}
+    merged = {key: default for key, (_, default) in keys.items()}
     if args.config is not None:
         for key, val in _read_config_file(args.config).items():
             if key not in keys:
                 raise CliError(f"unknown config key {key!r}")
-            merged[key] = _cast(key, val, keys[key])
+            merged[key] = _cast(key, val, keys[key][0])
     for key in keys:
         flag_val = getattr(args, key)
         if flag_val is not None:
@@ -102,7 +105,7 @@ def _resolve(args: argparse.Namespace, keys: dict) -> dict:
 
 
 def _require(merged: dict, *names: str) -> None:
-    missing = [n for n in names if n not in merged]
+    missing = [n for n in names if merged[n] is None]
     if missing:
         raise MissingKeyError("missing required key(s): " + ", ".join(missing))
 
@@ -115,7 +118,7 @@ def _fmt(v) -> str:
 
 def _output_dir(merged: dict) -> Path:
     """The artifact directory, checked; each command makes it after its work."""
-    name = merged.get("output_dir") or os.environ.get(ENV_OUTPUT_DIR) or "lllsim-out"
+    name = merged["output_dir"] or os.environ.get(ENV_OUTPUT_DIR) or "lllsim-out"
     out = Path(name)
     # the nearest existing path, where the mkdir after the work would fail
     existing = next((p for p in (out, *out.parents) if p.exists()), None)
@@ -127,7 +130,8 @@ def _output_dir(merged: dict) -> Path:
 
 
 def _echo_config(out_dir: Path, merged: dict) -> None:
-    lines = [f"{key}={_fmt(merged[key])}" for key in sorted(merged)]
+    """config.resolved: every key that is set, so a replay resolves the same."""
+    lines = [f"{key}={_fmt(v)}" for key, v in sorted(merged.items()) if v is not None]
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
 
 
@@ -145,28 +149,31 @@ def _scalar(hint):
     return args[0] if args else hint
 
 
-# One key table per subcommand, {key: type}. Config-file keys and --flags
-# both come from these; the run keys are RunConfig's own fields.
+# One key table per subcommand, {key: (type, default)}. Config-file keys,
+# --flags and defaults all come from these; the run keys are RunConfig's own
+# fields with its defaults. A None default leaves the key unset.
 _RUN_HINTS = typing.get_type_hints(RunConfig)
-_RUN_KEYS = {f.name: _scalar(_RUN_HINTS[f.name]) for f in fields(RunConfig)}
-_SIMULATE_KEYS = {**_RUN_KEYS, "jobs": int}
-_SWEEP_KEYS = {**_SIMULATE_KEYS, "d_grid": str, "epsilon_grid": str}
+_RUN_KEYS = {
+    f.name: (_scalar(_RUN_HINTS[f.name]), None if f.default is MISSING else f.default)
+    for f in fields(RunConfig)
+}
+_SIMULATE_KEYS = {**_RUN_KEYS, "jobs": (int, 1)}
+_SWEEP_KEYS = {**_SIMULATE_KEYS, "d_grid": (str, None), "epsilon_grid": (str, None)}
 _REFINE_KEYS = {
-    "input": str,
-    "k": int,
-    "tol": float,
-    "max_iters": int,
-    "dump": str,
+    "input": (str, None),
+    "k": (int, None),
+    "tol": (float, DEFAULT_TOL),
+    "max_iters": (int, None),  # the solver derives it from the number of rows
+    "dump": (str, None),
 }
 _LB_KEYS = {
-    "k": int,
-    "eps": float,
-    "eps_vector": str,
-    "eps_target": float,
-    "n_random": int,
-    "trials": int,
-    "subset": str,
-    "seed": int,
+    "k": (int, None),
+    "eps": (str, "0.1"),
+    "eps_target": (float, 0.1),
+    "n_random": (int, 0),
+    "trials": (int, None),  # 200 fresh tasks when n_random is 0
+    "subset": (str, None),
+    "seed": (int, 0),
 }
 _CHOICES = {"mode": MODES, "check_mode": CHECK_MODES}
 _HELP = {
@@ -174,31 +181,18 @@ _HELP = {
     "epsilon_grid": "comma-separated accuracies",
     "input": "one whitespace-separated vector per line",
     "dump": "write a solver state dump to this file",
-    "eps": "equal per-coordinate accuracy",
-    "eps_vector": "comma-separated per-coordinate accuracies",
+    "eps": "one accuracy for every coordinate, or k comma-separated ones",
     "subset": "comma-separated coordinate subset",
 }
 
 
 def _base_config(merged: dict, mode: str) -> RunConfig:
-    kwargs = {k: v for k, v in merged.items() if k in _RUN_KEYS}
+    kwargs = {key: merged[key] for key in _RUN_KEYS}
     kwargs["mode"] = mode
     try:
         return RunConfig(**kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-
-
-def _run_defaults(merged: dict) -> dict:
-    """simulate and sweep keys with jobs and mode filled in when not given."""
-    return {"jobs": 1, "mode": RunConfig.mode, **merged}
-
-
-def _echoable(merged: dict, cfg: RunConfig) -> dict:
-    out = dict(merged)
-    out.update((k, v) for k, v in asdict(cfg).items() if v is not None)
-    out["mode"] = merged["mode"]
-    return out
 
 
 def _check_invariants(cfg: RunConfig, reports) -> list:
@@ -277,7 +271,6 @@ def _finish(out_dir: Path, lines: list, problems: list, converged: bool) -> int:
 
 def _cmd_simulate(merged: dict, out_dir: Path) -> int:
     _require(merged, "d", "k", "m")
-    merged = _run_defaults(merged)
     mode_req = merged["mode"]
     if mode_req not in MODES + ("all",):
         raise CliError(f"mode must be one of {MODES + ('all',)}, got {mode_req!r}")
@@ -300,7 +293,7 @@ def _cmd_simulate(merged: dict, out_dir: Path) -> int:
         report_lines.extend(_mode_report_lines(cfg, reports, mode_problems))
 
     _write_csv(out_dir / "runs.csv", REPORT_COLUMNS, all_rows)
-    _echo_config(out_dir, _echoable(merged, cfgs[0]))
+    _echo_config(out_dir, merged)
     return _finish(out_dir, report_lines, problems, _converged(groups))
 
 
@@ -323,18 +316,13 @@ def _fit_line(xs, ys) -> tuple:
 
 def _cmd_sweep(merged: dict, out_dir: Path) -> int:
     _require(merged, "k", "m")
-    merged = _run_defaults(merged)
-    d_grid = (
-        _parse_grid(merged["d_grid"], int, "d_grid") if "d_grid" in merged else []
-    )
-    eps_grid = (
-        _parse_grid(merged["epsilon_grid"], float, "epsilon_grid")
-        if "epsilon_grid" in merged
-        else []
+    d_grid, eps_grid = (
+        [] if merged[name] is None else _parse_grid(merged[name], typ, name)
+        for name, typ in (("d_grid", int), ("epsilon_grid", float))
     )
     if not d_grid and not eps_grid:
         raise CliError("sweep needs d_grid and/or epsilon_grid")
-    if eps_grid and "d" not in merged:
+    if eps_grid and merged["d"] is None:
         raise CliError("epsilon_grid sweep needs d")
     for name, grid in (("d_grid", d_grid), ("epsilon_grid", eps_grid)):
         if len(set(grid)) < len(grid):
@@ -389,26 +377,37 @@ def _cmd_sweep(merged: dict, out_dir: Path) -> int:
         ("axis", "value", "trials", "mean_samples_total", "std_samples_total"),
         rows,
     )
-    echo = dict(merged)
-    if d_grid:
-        echo["d_grid"] = ",".join(str(d) for d in d_grid)
-    if eps_grid:
-        echo["epsilon_grid"] = ",".join(repr(e) for e in eps_grid)
-    _echo_config(out_dir, echo)
+    _echo_config(out_dir, merged)
 
     lines.append("invariants: " + ("PASS" if not problems else "FAIL"))
     lines.extend(f"  {p}" for p in problems)
     return _finish(out_dir, lines, problems, _converged(groups))
 
 
+def _dump_path(name: str, out_dir: Path) -> Path:
+    """refine's dump file, relative to out_dir, checked before the solve."""
+    path = Path(os.path.abspath(out_dir / name))
+    out = Path(os.path.abspath(out_dir))
+    if path == out or path.is_dir():
+        raise CliError(f"dump path {path} is a directory")
+    if path.parent != out and not path.parent.is_dir():
+        raise CliError(
+            f"dump path {path} lies in {path.parent}, which is neither the "
+            "output directory nor an existing directory"
+        )
+    return path
+
+
 def _cmd_refine(merged: dict, out_dir: Path) -> int:
     _require(merged, "input", "k")
+    max_iters = merged["max_iters"]
     for key, ok, need in (
-        ("tol", 0.0 <= merged.get("tol", 0.0) < math.inf, "nonnegative and finite"),
-        ("max_iters", merged.get("max_iters", 1) >= 1, ">= 1"),
+        ("tol", 0.0 <= merged["tol"] < math.inf, "nonnegative and finite"),
+        ("max_iters", max_iters is None or max_iters >= 1, ">= 1"),
     ):
         if not ok:
             raise CliError(f"{key} must be {need}, got {merged[key]}")
+    dump_path = None if merged["dump"] is None else _dump_path(merged["dump"], out_dir)
     try:
         W = np.loadtxt(merged["input"], ndmin=2)
     except (OSError, ValueError) as exc:
@@ -433,11 +432,12 @@ def _cmd_refine(merged: dict, out_dir: Path) -> int:
         W = W / norms[:, None]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    # only the keys given: refine() holds the defaults
-    given = {key: merged[key] for key in ("tol", "max_iters") if key in merged}
     try:
         # eps_acc is only sign-checked; its value enters no result
-        V, cert, sol = refine(list(W), k, eps_acc=1.0, full_output=True, **given)
+        V, cert, sol = refine(
+            list(W), k, eps_acc=1.0, tol=merged["tol"],
+            max_iters=max_iters, full_output=True,
+        )
     except ValueError as exc:
         # the options were checked above, so this is a broken guarantee
         # (a failed certificate), not a configuration error
@@ -445,10 +445,7 @@ def _cmd_refine(merged: dict, out_dir: Path) -> int:
         return EXIT_INVARIANT
     basis_path = out_dir / "refined_basis.txt"
     np.savetxt(basis_path, V.basis.T, fmt="%.17g")
-    if "dump" in merged:
-        dump_path = Path(merged["dump"])
-        if not dump_path.is_absolute():
-            dump_path = out_dir / dump_path
+    if dump_path is not None:
         dump_solution(sol, dump_path)
     _echo_config(out_dir, merged)
 
@@ -469,24 +466,20 @@ def _cmd_refine(merged: dict, out_dir: Path) -> int:
 def _cmd_lowerbound(merged: dict, out_dir: Path) -> int:
     _require(merged, "k")
     k = merged["k"]
-    if "eps_vector" in merged:
-        if "eps" in merged:
-            raise CliError("give eps or eps_vector, not both")
-        eps_vec = _parse_grid(merged["eps_vector"], float, "eps_vector")
-    else:
-        eps_vec = [merged.get("eps", 0.1)] * k
-    subset = (
-        _parse_grid(merged["subset"], int, "subset") if "subset" in merged else None
-    )
-    n_random = merged.get("n_random", 0)
-    trials = merged.get("trials")
-    if trials is None and n_random == 0:
-        trials = 200  # sensible default sample of fresh combination tasks
-    eps_target = merged.get("eps_target", 0.1)
+    eps = _parse_grid(merged["eps"], float, "eps")
+    eps_vec = eps * k if len(eps) == 1 else eps
+    subset = merged["subset"]
+    if subset is not None:
+        subset = _parse_grid(subset, int, "subset")
+    if merged["trials"] is None and merged["n_random"] == 0:
+        merged["trials"] = 200  # sensible default sample of fresh combination tasks
+    eps_target = merged["eps_target"]
     try:
-        instance = build_instance(k, n_random, merged.get("seed", 0), eps_vec, subset=subset)
+        instance = build_instance(
+            k, merged["n_random"], merged["seed"], eps_vec, subset=subset
+        )
         uniform = [eps_target / math.sqrt(k)] * k
-        stats = new_task_angle_stats(instance, trials=trials)
+        stats = new_task_angle_stats(instance, trials=merged["trials"])
         ledgers = [
             (name, sample_complexity_ledger(instance, eps_target, alloc))
             for name, alloc in (("instance", eps_vec), ("uniform", uniform))
@@ -531,7 +524,7 @@ def _ledger_cell(value):
 
 def _add_keys(sub: argparse.ArgumentParser, keys: dict, choices: dict) -> None:
     """One --flag per key of a table."""
-    for key, typ in keys.items():
+    for key, (typ, _) in keys.items():
         sub.add_argument(
             "--" + key.replace("_", "-"),
             dest=key,

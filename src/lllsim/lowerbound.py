@@ -36,7 +36,7 @@ class LowerBoundInstance:
     seed: int
 
     def __post_init__(self):
-        if np.any(self.eps_vector < 0.0) or np.any(self.eps_vector >= 0.5):
+        if not np.all((self.eps_vector >= 0.0) & (self.eps_vector < 0.5)):
             raise ValueError("eps entries must lie in [0, 1/2)")
         outside = [j for j in range(self.k) if j not in set(self.S)]
         if outside and self.patterns.size:
@@ -131,7 +131,7 @@ def build_instance(
     eps = np.asarray(eps_vector, dtype=float).ravel()
     if eps.shape != (k,):
         raise ValueError(f"eps_vector must have length {k}")
-    if np.any(eps <= 0.0) or np.any(eps >= 0.5):
+    if not np.all((eps > 0.0) & (eps < 0.5)):  # NaN fails both comparisons
         raise ValueError("eps entries must lie in (0, 1/2)")
     S = tuple(range(k)) if subset is None else tuple(sorted(set(subset)))
     if not S or any(i < 0 or i >= k for i in S):

@@ -194,6 +194,7 @@ def test_simulate_config_error_exits_2_before_any_trial(
 
 _SIMULATE = ("simulate", "--d", 20, "--k", 2, "--m", 5)
 _REFINE = ("refine", "--input", "feats.txt", "--k", 3)
+_LOWERBOUND = ("lowerbound", "--k", 4)
 
 
 @pytest.mark.parametrize(
@@ -203,11 +204,12 @@ _REFINE = ("refine", "--input", "feats.txt", "--k", 3)
         (*_SIMULATE, "--refine-every", "threshold"),
         (*_REFINE, "--c", 3),
         (*_REFINE, "--no-trim"),
+        (*_LOWERBOUND, "--eps-vector", "0.1,0.1,0.1,0.1"),
     ],
 )
 def test_simulate_removed_flags_exit_2(tmp_path, capsys, flags):
     # epsilon_acc is derived from acc_constant, r_max alone sets the
-    # schedule, and refine has one rounding rule
+    # schedule, refine has one rounding rule and lowerbound's eps takes a list
     out = tmp_path / "x"
     with pytest.raises(SystemExit) as exc:
         run_cli(*flags, "-o", out)
@@ -225,6 +227,11 @@ def test_simulate_removed_flags_exit_2(tmp_path, capsys, flags):
     + [
         pytest.param("refine", "input=feats.txt\nk=3", line, id=line)
         for line in ("c=3", "trim=false")
+    ]
+    + [
+        pytest.param(
+            "lowerbound", "k=4", "eps_vector=0.1,0.1,0.1,0.1", id="eps_vector=0.1,..."
+        )
     ],
 )
 def test_simulate_removed_config_keys_exit_2(tmp_path, capsys, command, lines, line):
@@ -300,6 +307,36 @@ def test_simulate_flag_overrides_config_file(tmp_path):
     )
     assert resolved["seed"] == "9"
     assert resolved["d"] == "30"
+
+
+_RUN_ECHO = {
+    "N", "acc_constant", "c_s", "check_mode", "epsilon", "jobs", "k", "m", "mode",
+    "output_dir", "sdp_tol", "seed", "trials",
+}
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        (("simulate", "--d", 20, "--k", 2, "--m", 5), _RUN_ECHO | {"d"}),
+        (("sweep", "--d-grid", "20,30", "--k", 2, "--m", 5), _RUN_ECHO | {"d_grid"}),
+        (("refine", "--k", 1), {"input", "k", "output_dir", "tol"}),
+        (
+            ("lowerbound", "--k", 4, "--trials", 10),
+            {"eps", "eps_target", "k", "n_random", "output_dir", "seed", "trials"},
+        ),
+    ],
+    ids=["simulate", "sweep", "refine", "lowerbound"],
+)
+def test_config_resolved_lists_every_resolved_key(tmp_path, command, keys):
+    # defaults included; only unset keys (r_max, refine's max_iters, ...) left out
+    feats = tmp_path / "feats.txt"
+    feats.write_text("1 0\n0 1\n")
+    extra = ("--input", feats) if command[0] == "refine" else ()
+    out = tmp_path / "out"
+    assert run_cli(*command, *extra, "-o", out) == 0
+    lines = (out / "config.resolved").read_text().splitlines()
+    assert {line.split("=", 1)[0] for line in lines} == keys
 
 
 def test_simulate_env_var_names_default_output_dir(tmp_path, monkeypatch):
@@ -598,6 +635,49 @@ def test_refine_dump_writes_solver_state(tmp_path):
     assert "weights " in dump
 
 
+_NO_DIR = "which is neither the output directory nor an existing directory"
+
+
+@pytest.mark.parametrize(
+    "dump, message",
+    [
+        (lambda tmp: tmp / "missing" / "d.txt", _NO_DIR),
+        (lambda tmp: "sub/d.txt", _NO_DIR),  # relative: under the output dir
+        (lambda tmp: tmp, "is a directory"),
+    ],
+    ids=["absolute-missing-dir", "relative-missing-subdir", "a-directory"],
+)
+def test_refine_bad_dump_path_exits_2_before_the_solver(
+    tmp_path, capsys, monkeypatch, dump, message
+):
+    calls = []
+    monkeypatch.setattr(
+        refinement, "solve_refinement_sdp", lambda *a, **kw: calls.append(a)
+    )
+    feats = tmp_path / "feats.txt"
+    feats.write_text("1 0\n0 1\n")
+    out = tmp_path / "out"
+    rc = run_cli(
+        "refine", "--input", feats, "--k", 1, "--dump", dump(tmp_path), "-o", out
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_refine_resolved_config_roundtrip(tmp_path, near_planted_rows):
+    # the default tol is recorded, and the relative dump lands in each run's dir
+    feats = tmp_path / "feats.txt"
+    np.savetxt(feats, near_planted_rows(2))
+    first = tmp_path / "a"
+    second = tmp_path / "b"
+    args = ("refine", "--input", feats, "--k", 3, "--dump", "d.txt")
+    assert run_cli(*args, "-o", first) == 0
+    assert run_cli("refine", "--config", first / "config.resolved", "-o", second) == 0
+    for name in ("refined_basis.txt", "d.txt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 def test_refine_nonconvergence_exit_4(tmp_path, capsys):
     W = np.random.default_rng(0).standard_normal((20, 10))
     W /= np.linalg.norm(W, axis=1)[:, None]
@@ -690,16 +770,36 @@ def test_lowerbound_uses_instance_tasks_when_n_random_given(tmp_path):
     assert len(read_csv(out / "angles.csv")) == 1 + 50
 
 
+def test_lowerbound_eps_list_is_the_vector(tmp_path):
+    # one value applies to every coordinate; k values give the vector
+    one, four, mixed = tmp_path / "one", tmp_path / "four", tmp_path / "mixed"
+    assert run_cli("lowerbound", "--k", 4, "--eps", "0.1", "-o", one) == 0
+    assert run_cli("lowerbound", "--k", 4, "--eps", "0.1,0.1,0.1,0.1", "-o", four) == 0
+    for name in ("angles.csv", "ledger.csv"):
+        assert (one / name).read_bytes() == (four / name).read_bytes()
+    eps = [0.05, 0.1, 0.1, 0.08]
+    rc = run_cli("lowerbound", "--k", 4, "--eps", ",".join(map(str, eps)), "-o", mixed)
+    assert rc == 0
+    rows = read_csv(mixed / "ledger.csv")
+    instance = dict(zip(rows[0], rows[1]))
+    assert math.isclose(
+        float(instance["basis_cost"]), 5 * sum(1 / e for e in eps), rel_tol=1e-12
+    )
+
+
 def test_lowerbound_eps_vector_length_checked(tmp_path, capsys):
-    rc = run_cli("lowerbound", "--k", 4, "--eps-vector", "0.1,0.1", "-o", tmp_path / "x")
+    rc = run_cli("lowerbound", "--k", 4, "--eps", "0.1,0.1", "-o", tmp_path / "x")
     assert rc == 2
     assert "eps_vector must have length 4" in capsys.readouterr().err
 
 
 def test_lowerbound_rejects_out_of_range_eps(tmp_path, capsys):
-    rc = run_cli("lowerbound", "--k", 4, "--eps", "0.6", "-o", tmp_path / "x")
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    # NaN fails every comparison, so it must be caught as out of range
+    for eps in ("0.6", "nan", "0.1,nan,0.1,0.1"):
+        out = tmp_path / "x"
+        assert run_cli("lowerbound", "--k", 4, "--eps", eps, "-o", out) == 2
+        assert "eps entries must lie in (0, 1/2)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("eps_target", ["0", "-0.1", "nan", "inf"])
@@ -727,15 +827,21 @@ def test_lowerbound_k_below_2_exits_2(tmp_path, capsys, k):
     assert not out.exists()
 
 
-def test_lowerbound_eps_with_eps_vector_exits_2(tmp_path, capsys):
-    out = tmp_path / "x"
-    rc = run_cli(
-        "lowerbound", "--k", 4, "--eps", "0.3", "--eps-vector", "0.1,0.1,0.1,0.1",
-        "--trials", 50, "-o", out,
-    )
-    assert rc == 2
-    assert "give eps or eps_vector, not both" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--k", 6, "--trials", 40, "--seed", 2),
+        ("--k", 4, "--eps", "0.05,0.04,0.06,0.05", "--subset", "0,2,3", "--n-random", 20),
+    ],
+    ids=["default-trials", "eps-list-n-random"],
+)
+def test_lowerbound_resolved_config_roundtrip(tmp_path, args):
+    first = tmp_path / "a"
+    second = tmp_path / "b"
+    assert run_cli("lowerbound", *args, "-o", first) == 0
+    assert run_cli("lowerbound", "--config", first / "config.resolved", "-o", second) == 0
+    for name in ("angles.csv", "ledger.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 # ------------------------------------------------------------------- flags
@@ -757,7 +863,8 @@ def test_every_run_field_is_a_typed_flag(command, field):
 
 _COMMON_FLAGS = (("--config", "config"), ("-o", "output_dir"), ("--output-dir", "output_dir"))
 # The flags each subcommand accepted before flags were derived from key tables,
-# less refine's --c and --no-trim, removed with the rounding's c and trim.
+# less refine's --c and --no-trim, removed with the rounding's c and trim, and
+# lowerbound's --eps-vector, folded into --eps.
 _LEGACY_FLAGS = {
     "simulate": (
         ("--d", "d"), ("--k", "k"), ("--m", "m"), ("--N", "N"),
@@ -778,8 +885,7 @@ _LEGACY_FLAGS = {
         ("--max-iters", "max_iters"), ("--dump", "dump"),
     ),
     "lowerbound": (
-        ("--k", "k"), ("--eps", "eps"), ("--eps-vector", "eps_vector"),
-        ("--eps-target", "eps_target"), ("--n-random", "n_random"),
+        ("--k", "k"), ("--eps", "eps"), ("--eps-target", "eps_target"), ("--n-random", "n_random"),
         ("--trials", "trials"), ("--subset", "subset"), ("--seed", "seed"),
     ),
 }

@@ -60,6 +60,9 @@ def test_build_instance_validates():
         build_instance(k=2, n_random=1, seed=0, eps_vector=[0.1, 0.5])
     with pytest.raises(ValueError):
         build_instance(k=2, n_random=1, seed=0, eps_vector=[0.1])
+    for eps in ([float("nan"), 0.1], [0.1, float("nan")]):
+        with pytest.raises(ValueError, match="eps entries must lie in"):
+            build_instance(k=2, n_random=1, seed=0, eps_vector=eps)
 
 
 def test_block_draw_matches_row_by_row_draw_bitwise():
@@ -85,6 +88,17 @@ def test_instance_rejects_patterns_off_subset():
     with pytest.raises(ValueError, match="supported on S"):
         LowerBoundInstance(
             k=5, patterns=np.eye(5)[:1], eps_vector=np.full(5, 0.1), S=(1, 3), seed=0
+        )
+
+
+def test_instance_rejects_nan_eps():
+    with pytest.raises(ValueError, match="eps entries must lie in"):
+        LowerBoundInstance(
+            k=2,
+            patterns=np.zeros((0, 2)),
+            eps_vector=np.array([0.1, np.nan]),
+            S=(0, 1),
+            seed=0,
         )
 
 
