@@ -9,7 +9,11 @@ own artifacts. All tabular output is CSV; a plain-text report carries
 invariant checks and fit lines.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation,
-4 refinement solver non-convergence.
+4 refinement solver non-convergence. Commands do not catch library errors;
+`main` maps them once: a RefinementError (a solve or rounding that breaks
+its guarantee) exits 3 from every command, and any other ValueError, a
+CliError or a library's check of its arguments, exits 2. Each command
+makes its output directory only after its work, so an error leaves none.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .lowerbound import (
     new_task_angle_stats,
     sample_complexity_ledger,
 )
-from .refinement import DEFAULT_TOL, dump_solution, refine
+from .refinement import DEFAULT_TOL, RefinementError, dump_solution, refine
 from .threads import one_blas_thread
 
 EXIT_OK = 0
@@ -53,8 +57,8 @@ EXIT_SOLVER = 4
 ENV_OUTPUT_DIR = "LLLSIM_OUTPUT_DIR"
 
 
-class CliError(Exception):
-    """A configuration problem; maps to exit code 2."""
+class CliError(ValueError):
+    """A configuration problem the command itself finds; maps to exit code 2."""
 
 
 class MissingKeyError(CliError):
@@ -186,13 +190,8 @@ _HELP = {
 }
 
 
-def _base_config(merged: dict, mode: str) -> RunConfig:
-    kwargs = {key: merged[key] for key in _RUN_KEYS}
-    kwargs["mode"] = mode
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _base_config(merged: dict) -> RunConfig:
+    return RunConfig(**{key: merged[key] for key in _RUN_KEYS})
 
 
 def _check_invariants(cfg: RunConfig, reports) -> list:
@@ -243,14 +242,6 @@ def _mode_report_lines(cfg: RunConfig, reports, problems) -> list:
     return lines
 
 
-def _run_all(cfgs: list, jobs: int) -> list:
-    """Every config's reports, config by config, from one run_trials pool."""
-    try:
-        return run_trials(cfgs, jobs=jobs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _converged(groups) -> bool:
     return all(r.refinement_converged for reports in groups for r in reports)
 
@@ -275,8 +266,8 @@ def _cmd_simulate(merged: dict, out_dir: Path) -> int:
     if mode_req not in MODES + ("all",):
         raise CliError(f"mode must be one of {MODES + ('all',)}, got {mode_req!r}")
     modes = MODES if mode_req == "all" else (mode_req,)
-    cfgs = [_base_config(merged, mode) for mode in modes]
-    groups = _run_all(cfgs, merged["jobs"])
+    cfgs = [_base_config(dict(merged, mode=mode)) for mode in modes]
+    groups = run_trials(cfgs, jobs=merged["jobs"])
     out_dir.mkdir(parents=True, exist_ok=True)
     all_rows = []
     report_lines = []
@@ -330,8 +321,8 @@ def _cmd_sweep(merged: dict, out_dir: Path) -> int:
 
     points = [("d", d, dict(merged, d=d)) for d in d_grid]
     points += [("epsilon", e, dict(merged, epsilon=e)) for e in eps_grid]
-    cfgs = [_base_config(point, mode=merged["mode"]) for _, _, point in points]
-    groups = _run_all(cfgs, merged["jobs"])
+    cfgs = [_base_config(point) for _, _, point in points]
+    groups = run_trials(cfgs, jobs=merged["jobs"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
@@ -400,13 +391,6 @@ def _dump_path(name: str, out_dir: Path) -> Path:
 
 def _cmd_refine(merged: dict, out_dir: Path) -> int:
     _require(merged, "input", "k")
-    max_iters = merged["max_iters"]
-    for key, ok, need in (
-        ("tol", 0.0 <= merged["tol"] < math.inf, "nonnegative and finite"),
-        ("max_iters", max_iters is None or max_iters >= 1, ">= 1"),
-    ):
-        if not ok:
-            raise CliError(f"{key} must be {need}, got {merged[key]}")
     dump_path = None if merged["dump"] is None else _dump_path(merged["dump"], out_dir)
     try:
         W = np.loadtxt(merged["input"], ndmin=2)
@@ -416,10 +400,6 @@ def _cmd_refine(merged: dict, out_dir: Path) -> int:
         raise CliError("feature file is empty")
     if not np.all(np.isfinite(W)):
         raise CliError("feature file contains non-finite values")
-    n, d = W.shape
-    k = merged["k"]
-    if not (1 <= k < d):
-        raise CliError(f"need 1 <= k < d, got k={k}, d={d}")
     norms = np.linalg.norm(W, axis=1)
     if np.any(norms < 1e-12):
         raise CliError("feature file contains a zero row")
@@ -431,18 +411,12 @@ def _cmd_refine(merged: dict, out_dir: Path) -> int:
         )
         W = W / norms[:, None]
 
+    # the solver checks k, tol and max_iters; eps_acc enters no result
+    V, cert, sol = refine(
+        W, merged["k"], eps_acc=1.0, tol=merged["tol"],
+        max_iters=merged["max_iters"], full_output=True,
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        # eps_acc is only sign-checked; its value enters no result
-        V, cert, sol = refine(
-            list(W), k, eps_acc=1.0, tol=merged["tol"],
-            max_iters=max_iters, full_output=True,
-        )
-    except ValueError as exc:
-        # the options were checked above, so this is a broken guarantee
-        # (a failed certificate), not a configuration error
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     basis_path = out_dir / "refined_basis.txt"
     np.savetxt(basis_path, V.basis.T, fmt="%.17g")
     if dump_path is not None:
@@ -467,6 +441,8 @@ def _cmd_lowerbound(merged: dict, out_dir: Path) -> int:
     _require(merged, "k")
     k = merged["k"]
     eps = _parse_grid(merged["eps"], float, "eps")
+    if len(eps) not in (1, k):
+        raise CliError(f"eps takes 1 or k={k} values, got {len(eps)}")
     eps_vec = eps * k if len(eps) == 1 else eps
     subset = merged["subset"]
     if subset is not None:
@@ -474,18 +450,15 @@ def _cmd_lowerbound(merged: dict, out_dir: Path) -> int:
     if merged["trials"] is None and merged["n_random"] == 0:
         merged["trials"] = 200  # sensible default sample of fresh combination tasks
     eps_target = merged["eps_target"]
-    try:
-        instance = build_instance(
-            k, merged["n_random"], merged["seed"], eps_vec, subset=subset
-        )
-        uniform = [eps_target / math.sqrt(k)] * k
-        stats = new_task_angle_stats(instance, trials=merged["trials"])
-        ledgers = [
-            (name, sample_complexity_ledger(instance, eps_target, alloc))
-            for name, alloc in (("instance", eps_vec), ("uniform", uniform))
-        ]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    instance = build_instance(
+        k, merged["n_random"], merged["seed"], eps_vec, subset=subset
+    )
+    uniform = [eps_target / math.sqrt(k)] * k
+    stats = new_task_angle_stats(instance, trials=merged["trials"])
+    ledgers = [
+        (name, sample_complexity_ledger(instance, eps_target, alloc))
+        for name, alloc in (("instance", eps_vec), ("uniform", uniform))
+    ]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -573,7 +546,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         args.parser.print_usage(sys.stderr)
         return EXIT_CONFIG
-    except CliError as exc:
+    except RefinementError as exc:  # a broken guarantee, from any command
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except ValueError as exc:  # CliError, or a library's check of its arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

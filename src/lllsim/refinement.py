@@ -61,6 +61,10 @@ _SIGN_TOL = 1e-12
 _DUAL_EVERY = 8  # iterations between the averaged weights' dual checks
 
 
+class RefinementError(ValueError):
+    """A solve or rounding that breaks its guarantee (feasibility, certificate)."""
+
+
 @dataclass(frozen=True)
 class SdpSolution:
     """Feasible approximate solution of the refinement SDP, in factored form.
@@ -84,17 +88,17 @@ class SdpSolution:
         Xr = np.asarray(self.Xr, dtype=float)
         d, r = Q.shape
         if r > d or not np.allclose(Q.T @ Q, np.eye(r), atol=1e-9):
-            raise ValueError("Q must have orthonormal columns")
+            raise RefinementError("Q must have orthonormal columns")
         if Xr.shape != (r, r) or not np.allclose(Xr, Xr.T, atol=1e-9):
-            raise ValueError("Xr must be square symmetric with Q's column count")
+            raise RefinementError("Xr must be square symmetric with Q's column count")
         eig = np.linalg.eigvalsh(Xr)
         if eig[0] < -_FEAS_TOL or eig[-1] > 1.0 + _FEAS_TOL:
-            raise ValueError(f"eigenvalues outside [0, 1]: [{eig[0]}, {eig[-1]}]")
+            raise RefinementError(f"eigenvalues outside [0, 1]: [{eig[0]}, {eig[-1]}]")
         if abs(float(np.trace(Xr)) - (r - self.k)) > _FEAS_TOL:
-            raise ValueError("trace(Xr) != r - k")
+            raise RefinementError("trace(Xr) != r - k")
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < -1e-12) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must be a probability vector")
+            raise RefinementError("weights must be a probability vector")
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ class RefinementCertificate:
         # 1e-9 absolute slack: exact-realizability cases have bound 0 and
         # eigendecomposition-level residual distances
         if self.max_distance > self.approx_bound + 1e-9:
-            raise ValueError(
+            raise RefinementError(
                 f"max_distance {self.max_distance} exceeds bound {self.approx_bound}"
             )
 
@@ -172,7 +176,7 @@ def solve_refinement_sdp(
     if not (0.0 <= tol < math.inf):  # NaN fails both comparisons
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     if max_iters is not None and max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
     span = orthonormalize(list(A))
     Q = span.basis  # (d, r)

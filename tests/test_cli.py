@@ -701,33 +701,52 @@ def test_refine_nonconvergence_exit_4(tmp_path, capsys):
     ids=["tol", "tol-inf", "tol-nan", "max_iters"],
 )
 def test_refine_bad_option_exits_2_before_the_solver(
-    tmp_path, capsys, monkeypatch, flag, value, message
+    tmp_path, capsys, flag, value, message
 ):
-    calls = []
-    monkeypatch.setattr(
-        refinement, "solve_refinement_sdp", lambda *a, **kw: calls.append(a)
-    )
+    # the solver checks its arguments before its first iteration
     feats = tmp_path / "feats.txt"
     feats.write_text("1 0 0\n0 1 0\n0 0.6 0.8\n")
     out = tmp_path / "out"
     rc = run_cli("refine", "--input", feats, "--k", 1, flag, value, "-o", out)
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert calls == [] and not out.exists()
+    assert not out.exists()
 
 
-def test_refine_broken_certificate_is_an_invariant_failure(
-    tmp_path, capsys, monkeypatch
+def _off_span(sol):
+    """A rounding orthogonal to every feature: distance 1 from each of them."""
+    r = sol.Q.shape[1]
+    U = np.linalg.svd(sol.Q, full_matrices=True)[0]  # columns r.. span Q's complement
+    return Subspace(U[:, r : r + 1])
+
+
+_RR = ("--mode", "rr", "--k", 2, "--m", 5, "--trials", 2)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("simulate", *_RR, "--d", 20, "--jobs", 1),
+        ("simulate", *_RR, "--d", 20, "--jobs", 2),
+        ("sweep", *_RR, "--d-grid", "20,30"),
+        ("refine", "--k", 1),
+    ],
+    ids=["simulate-jobs-1", "simulate-jobs-2", "sweep", "refine"],
+)
+def test_broken_certificate_exits_3_from_every_command(
+    tmp_path, capsys, monkeypatch, command
 ):
-    # a rounding far from the features breaks the certificate's distance bound
-    monkeypatch.setattr(
-        refinement, "round_sdp", lambda sol: Subspace(np.eye(2)[:, 1:])
-    )
+    # a rounding far from the features breaks the certificate's distance
+    # bound, in a trial (also in a pool worker) as in refine itself
+    monkeypatch.setattr(driver, "available_cores", lambda: 2)
+    monkeypatch.setattr(refinement, "round_sdp", _off_span)
     feats = tmp_path / "feats.txt"
     feats.write_text("1 0\n")
-    rc = run_cli("refine", "--input", feats, "--k", 1, "-o", tmp_path / "out")
-    assert rc == cli.EXIT_INVARIANT
+    extra = ("--input", feats) if command[0] == "refine" else ()
+    out = tmp_path / "out"
+    assert run_cli(*command, *extra, "-o", out) == cli.EXIT_INVARIANT
     assert "exceeds bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_refine_near_planted_converges_exit_0(tmp_path, capsys, near_planted_rows):
@@ -788,9 +807,10 @@ def test_lowerbound_eps_list_is_the_vector(tmp_path):
 
 
 def test_lowerbound_eps_vector_length_checked(tmp_path, capsys):
-    rc = run_cli("lowerbound", "--k", 4, "--eps", "0.1,0.1", "-o", tmp_path / "x")
-    assert rc == 2
-    assert "eps_vector must have length 4" in capsys.readouterr().err
+    out = tmp_path / "x"
+    assert run_cli("lowerbound", "--k", 4, "--eps", "0.1,0.1", "-o", out) == 2
+    assert "eps takes 1 or k=4 values, got 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lowerbound_rejects_out_of_range_eps(tmp_path, capsys):

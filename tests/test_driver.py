@@ -537,7 +537,7 @@ def test_entry_points_run_with_one_blas_thread(monkeypatch, tmp_path, entry, rai
     def probe(*args, **kwargs):
         inside.append(getter())
         if raises:
-            raise ValueError("raised inside")
+            raise RuntimeError("raised inside")  # one that cli.main maps to no code
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, inner, probe)
@@ -545,7 +545,7 @@ def test_entry_points_run_with_one_blas_thread(monkeypatch, tmp_path, entry, rai
     setter(2)
     try:
         if raises:
-            with pytest.raises(ValueError, match="raised inside"):
+            with pytest.raises(RuntimeError, match="raised inside"):
                 call(tmp_path)
         else:
             call(tmp_path)
