@@ -7,10 +7,13 @@ fails its check. `rr` additionally refines the feature list down to a
 low-dimensional subspace after new-feature events, migrating previously
 recorded classifiers into the refined basis. `joint` is the offline
 baseline: pool N samples per task, estimate every task direction in full
-dimension, and take the best rank-k subspace of the stacked estimates.
+dimension, and take the best rank-k subspace of the stacked estimates
+from the eigenvectors of their smaller Gram matrix.
 
 A new feature extends the active basis by its Gram-Schmidt residual
-(`geometry.extend`), also right after a refinement. Per-task classifiers
+(`geometry.extend`), also right after a refinement; rr extends the span of
+the raw features the same way, and hands it to each refinement, whose
+solver would otherwise orthonormalize them all again. Per-task classifiers
 are the rows of one (m, d) array of ambient unit vectors, all inside the
 active subspace. Migrating them to a refined basis is one projection of
 that array, and their errors come from one batched `task_errors` call.
@@ -296,6 +299,7 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
 
     active: Subspace | None = None
     raw: list[np.ndarray] = []  # every full-d feature learned, in order
+    raw_span: Subspace | None = None  # rr: orthonormalize(raw), one extend at a time
     H = np.zeros((config.m, config.d))  # row t: task t's classifier, in span(active)
     refinements = 0
     refinement_converged = True
@@ -318,6 +322,8 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             fresh = learn_halfspace(stream, t, config.epsilon_acc, config.c_s)
             rep += fresh.samples_used
             raw.append(fresh.direction)
+            if config.mode == "rr":
+                raw_span = extend(raw_span, fresh.direction)
             active = extend(active, fresh.direction)
             # the span only grows here, so the earlier classifiers stay in it
             # exactly and need neither migration nor a check
@@ -334,6 +340,7 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
                 tol=config.sdp_tol,
                 max_iters=config.sdp_max_iters,
                 full_output=True,
+                span=raw_span,
             )
             refinements += 1
             refinement_converged = refinement_converged and sol.converged
@@ -356,6 +363,21 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     )
 
 
+def _top_k_basis(E: np.ndarray, gram: np.ndarray | None, k: int) -> np.ndarray:
+    """Orthonormal (d, min(k, n)) basis of E's top right singular vectors.
+
+    E is (n, d). The basis comes from `eigh` of the smaller Gram matrix:
+    with `gram` None, of E E' (n <= d), whose eigenvectors u map to E' u /
+    sigma; otherwise of `gram` = E' E. Only the span is used, so the order
+    and signs of the columns are free.
+    """
+    r = min(k, E.shape[0])
+    if gram is None:
+        vals, vecs = np.linalg.eigh(E @ E.T)
+        return (E.T @ vecs[:, -r:]) / np.sqrt(vals[-r:])
+    return np.linalg.eigh(gram)[1][:, -r:]
+
+
 def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     """Offline baseline: estimate every task direction from N pooled samples,
     keep the best rank-k subspace of the stacked estimates, refit inside it.
@@ -367,10 +389,14 @@ def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     stream = TaskStream(ground_truth=gt, rng_seed=config.seed)
 
     est = np.zeros((config.m, config.d))
+    gram = None  # est[: t + 1]' est[: t + 1] once t + 1 > d
     for t in range(config.m):
         est[t] = estimate_direction(stream, t, config.N)
-        _, _, vt = np.linalg.svd(est[: t + 1], full_matrices=False)
-        B = vt[: min(config.k, t + 1)].T
+        if gram is not None:
+            gram += np.outer(est[t], est[t])
+        elif t + 1 > config.d:
+            gram = est[: t + 1].T @ est[: t + 1]
+        B = _top_k_basis(est[: t + 1], gram, config.k)
         _, rec.err[: t + 1] = _project_rows(est[: t + 1], B, gt.a[: t + 1])
         rec.close(t, Subspace(basis=B), (t + 1) * config.N)
 

@@ -77,24 +77,36 @@ def _count_mistakes(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
 def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Perceptron passes toward a direction consistent with the batch (x, y).
 
-    Each epoch runs over the batch in blocks; an update adds y*x over a
-    block's mistakes, and a mistake-free epoch stops the passes. The batch
-    need not be separable when the target sits outside the basis: if the
-    epoch cap comes first, the result is the first of the start and the
-    epoch-end iterates with the fewest mistakes, so it never classifies the
-    batch worse than the start.
+    Each epoch runs over the batch in blocks of `_POLISH_BLOCK` rows; an
+    update adds y*x over a block's mistakes, and a mistake-free epoch stops
+    the passes. The batch need not be separable when the target sits outside
+    the basis: if the epoch cap comes first, the result is the first of the
+    start and the epoch-end iterates with the fewest mistakes, so it never
+    classifies the batch worse than the start.
+
+    A batch of one block (every in-span batch up to dim 22 at eps = 0.1, and
+    joint's N = 200) is fit on its signed rows y*x, a copy of at most
+    `_POLISH_BLOCK` rows: a sign flip is exact, so (y*x) @ w is (x @ w) * y
+    bit for bit. Each epoch's scan then counts the mistakes of one iterate,
+    and those counts pick the winner at the cap. A larger batch is scanned in
+    place, block by block, and its epoch-end iterates are recounted at the
+    cap. Neither path changes x or y.
 
     The passes compute in x's dtype. The start object itself is returned
     when it wins, so a mistake-free start comes back unchanged.
     """
     y = y.astype(x.dtype, copy=False)  # int64 labels would upcast to float64
+    if y.size <= _POLISH_BLOCK:
+        return _polish_one_block(w, x * y[:, None])
     iterates = [w]
     w = w.astype(x.dtype, copy=False)
+    blocks = [
+        (x[lo : lo + _POLISH_BLOCK], y[lo : lo + _POLISH_BLOCK])
+        for lo in range(0, y.size, _POLISH_BLOCK)
+    ]
     for _ in range(_POLISH_EPOCHS):
         updated = False
-        for lo in range(0, y.size, _POLISH_BLOCK):
-            xb = x[lo : lo + _POLISH_BLOCK]
-            yb = y[lo : lo + _POLISH_BLOCK]
+        for xb, yb in blocks:
             bad = (xb @ w) * yb <= 0.0
             if bad.any():
                 w = w + yb[bad] @ xb[bad]
@@ -104,6 +116,28 @@ def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         iterates.append(w)
     mistakes = [_count_mistakes(v, x, y) for v in iterates]
     return iterates[mistakes.index(min(mistakes))]
+
+
+def _polish_one_block(w: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """`_polish` on one block of signed rows xy = y*x.
+
+    Scan e counts the mistakes of iterate e (iterate 0 is the start), and one
+    scan past the cap counts the last, so the winner needs no recount. The
+    update ones @ xy[bad] is the same gemv as y[bad] @ x[bad].
+    """
+    ones = np.ones(len(xy), dtype=xy.dtype)
+    best, fewest = w, len(xy) + 1
+    current = w
+    w = w.astype(xy.dtype, copy=False)
+    for epoch in range(_POLISH_EPOCHS + 1):
+        bad = xy @ w <= 0.0
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad < fewest:
+            best, fewest = current, n_bad
+        if n_bad == 0 or epoch == _POLISH_EPOCHS:
+            return best
+        w = w + ones[:n_bad] @ xy.compress(bad, axis=0)
+        current = w
 
 
 def estimate_direction(

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Subspace, orthonormalize
+from .geometry import DROP_TOL, Subspace, orthonormalize
 from .threads import one_blas_thread
 
 DEFAULT_TOL = 1e-4
@@ -128,6 +128,28 @@ def _feature_matrix(W) -> np.ndarray:
     return A
 
 
+def _check_span(A: np.ndarray, span: Subspace) -> None:
+    """Raise ValueError unless span is span(A): it holds every row of A, each
+    to 1e-9 in norm, and the rows fill each of its dimensions (the smallest
+    singular value of A Q above DROP_TOL, where Gram-Schmidt drops a residual).
+    """
+    if span.ambient_dim != A.shape[1]:
+        raise ValueError(
+            f"span lives in R^{span.ambient_dim}, the features in R^{A.shape[1]}"
+        )
+    AQ = A @ span.basis
+    lost = np.abs(np.linalg.norm(AQ, axis=1) - np.linalg.norm(A, axis=1))
+    if lost.max() > 1e-9:
+        raise ValueError(f"span misses a feature: a row of W Q is {lost.max():.3g} short")
+    # n rows fill at most n dimensions, and svd returns only min(n, r) values
+    floor = np.linalg.svd(AQ, compute_uv=False)[-1] if span.dim <= len(A) else 0.0
+    if floor <= DROP_TOL:
+        raise ValueError(
+            f"span has a direction no feature fills: the smallest singular "
+            f"value of W Q is {floor:.3g}"
+        )
+
+
 def _weighted_dual(Wt: np.ndarray, p: np.ndarray, k: int) -> float:
     """Dual value of weights p: the r - k smallest eigenvalues of M(p), summed."""
     M = Wt.T @ (p[:, None] * Wt)
@@ -151,7 +173,11 @@ def _mixability_gap(p: np.ndarray, loss: np.ndarray, eta: float) -> float:
 
 
 def solve_refinement_sdp(
-    W, k: int, max_iters: int | None = None, tol: float = DEFAULT_TOL
+    W,
+    k: int,
+    max_iters: int | None = None,
+    tol: float = DEFAULT_TOL,
+    span: Subspace | None = None,
 ) -> SdpSolution:
     """Approximately solve the refinement SDP by saddle-point MWU.
 
@@ -168,6 +194,13 @@ def solve_refinement_sdp(
     `tol` within `max_iters` the solution is still feasible and `converged`
     is False. k is clamped to r = rank(W): for r <= k the exact optimum
     t = 0 comes back without iterating, with `k` = r.
+
+    `span` is an orthonormal basis of span(W) the caller already holds, such
+    as the driver's raw features folded through `extend`; it stands in for
+    `orthonormalize(W)`, which gives the same Q bit for bit. A span in
+    another ambient dimension, one that misses a feature (some row of W Q
+    shorter than its row of W by more than 1e-9), or one wider than span(W)
+    (the smallest singular value of W Q at most DROP_TOL) raises ValueError.
     """
     A = _feature_matrix(W)
     n, d = A.shape
@@ -178,7 +211,10 @@ def solve_refinement_sdp(
     if max_iters is not None and max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
-    span = orthonormalize(list(A))
+    if span is None:
+        span = orthonormalize(list(A))
+    else:
+        _check_span(A, span)
     Q = span.basis  # (d, r)
     r = span.dim
     k = min(k, r)
@@ -318,6 +354,7 @@ def refine(
     tol: float = DEFAULT_TOL,
     max_iters: int | None = None,
     full_output: bool = False,
+    span: Subspace | None = None,
 ):
     """Solve, then `round_sdp` at the solver's clamped k: (subspace, certificate).
 
@@ -327,12 +364,14 @@ def refine(
     checked for sign: it enters none of the solve, the rounding and the
     certificate, and stays a positional parameter because callers pass it
     so. With `full_output` the SdpSolution is returned as a third element.
-    OpenBLAS runs at one thread throughout.
+    `span`, an orthonormal basis of span(W), goes to the solver in place of
+    its own Gram-Schmidt (see `solve_refinement_sdp`). OpenBLAS runs at one
+    thread throughout.
     """
     if eps_acc <= 0.0:
         raise ValueError("eps_acc must be positive")
     A = _feature_matrix(W)
-    sol = solve_refinement_sdp(A, k, max_iters=max_iters, tol=tol)
+    sol = solve_refinement_sdp(A, k, max_iters=max_iters, tol=tol, span=span)
     V = round_sdp(sol)
     B = V.basis
     resid = A.T - B @ (B.T @ A.T)

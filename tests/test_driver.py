@@ -276,8 +276,10 @@ def test_rr_migration_relearns(monkeypatch, span, kept, samples, errors):
 
 @pytest.mark.parametrize("mode", ["basic", "rr"])
 def test_one_gram_schmidt_for_the_truth_and_one_per_refinement(monkeypatch, mode):
-    # a new feature extends the active basis by one column; only the truth
-    # span and each refinement's feature span run a whole Gram-Schmidt
+    # only the truth span runs a whole Gram-Schmidt. A new feature extends
+    # the active basis by one column; rr also extends the raw features' span
+    # by it, and each refinement's solve takes that span as its Q instead of
+    # orthonormalizing the raw features again
     original = geometry.orthonormalize
     calls = []
 
@@ -287,10 +289,38 @@ def test_one_gram_schmidt_for_the_truth_and_one_per_refinement(monkeypatch, mode
 
     for module in (geometry, driver, refinement):
         monkeypatch.setattr(module, "orthonormalize", counted)
+    extends = []  # (span extended, span returned), in call order
+
+    def counted_extend(V, v):
+        out = geometry.extend(V, v)
+        extends.append((V, out))
+        return out
+
+    monkeypatch.setattr(driver, "extend", counted_extend)
+    spans = []  # the span each refinement's solve was given
+    solve = refinement.solve_refinement_sdp
+
+    def spied_solve(*args, span=None, **kwargs):
+        spans.append(span)
+        return solve(*args, span=span, **kwargs)
+
+    monkeypatch.setattr(refinement, "solve_refinement_sdp", spied_solve)
     r = run_one(RunConfig(d=40, k=3, m=30, seed=4, mode=mode))
-    assert len(r.new_feature_events) > 3
-    assert r.refinement_count == (len(r.new_feature_events) if mode == "rr" else 0)
-    assert len(calls) == 1 + r.refinement_count
+    events = len(r.new_feature_events)
+    assert events > 3
+    assert r.refinement_count == (events if mode == "rr" else 0)
+    if mode == "basic":
+        assert len(calls) == 1 + r.refinement_count
+        return
+    assert len(calls) == 1
+    # per event: the raw span, then the active basis, one extend each
+    assert len(extends) == 2 * events
+    raw_chain = extends[0::2]
+    assert raw_chain[0][0] is None
+    assert all(b[0] is a[1] for a, b in zip(raw_chain, raw_chain[1:]))
+    assert len(spans) == events
+    assert all(span is out for span, (_, out) in zip(spans, raw_chain))
+    assert spans[-1].dim == events
 
 
 def test_joint_prefix_dims_and_recovery():
@@ -618,6 +648,34 @@ def test_reports_and_batches_do_not_depend_on_the_fill_share(monkeypatch):
     assert batches[0].x.tobytes() == batches[1].x.tobytes()
     assert np.array_equal(batches[0].y, batches[1].y)
     assert pools[0] == 0 and pools[1] > 1  # share 2 filled on helper threads
+
+
+def test_joint_prefix_bases_match_the_svd_at_every_fill_share(monkeypatch):
+    # m > d, so the prefixes take their bases from E E' while t + 1 <= d and
+    # from E'E after, and the first k prefixes keep every direction; the
+    # report is the same at fill shares 1 and 2
+    cfg = RunConfig(d=20, k=3, m=60, mode="joint", seed=2)
+    basis = driver._top_k_basis
+    reports, seen = [], []
+
+    def spied(E, gram, k):
+        B = basis(E, gram, k)
+        seen.append((E.copy(), gram is None, B))
+        return B
+
+    monkeypatch.setattr(driver, "_top_k_basis", spied)
+    for share in (1, 2):
+        monkeypatch.setattr(threads, "_fill_share", share)
+        reports.append(run_one(cfg))
+    assert _same_report(*reports)
+    assert len(seen) == 2 * cfg.m
+    assert [small for _, small, _ in seen[: cfg.m]] == [t < cfg.d for t in range(cfg.m)]
+    for E, _, B in seen[: cfg.m]:
+        r = min(cfg.k, len(E))
+        assert B.shape == (cfg.d, r)
+        assert np.abs(B.T @ B - np.eye(r)).max() <= 1e-12
+        vt = np.linalg.svd(E, full_matrices=False)[2][:r]
+        assert np.abs(B @ B.T - vt.T @ vt).max() <= 1e-12
 
 
 def test_evaluate_report_single():

@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lllsim import learner
 from lllsim.geometry import orthonormalize
 from lllsim.learner import (
+    _POLISH_BLOCK,
     Hypothesis,
     _count_mistakes,
     _polish,
@@ -141,6 +143,64 @@ def test_polish_keeps_a_mistake_free_start():
     w = _polish(a, x, y)
     assert np.array_equal(w, a)
     assert np.array_equal(w, polish_with_recounts(a, x, y))
+
+
+def _one_block_polish(w, x, y, monkeypatch):
+    """_polish on a batch of at most one block, with copies of x and y kept
+    to check that it leaves them alone and `_count_mistakes` made to fail."""
+    assert y.size <= _POLISH_BLOCK
+    x0, y0 = x.copy(), y.copy()
+
+    def no_recount(*args):
+        raise AssertionError("a one-block polish recounted its mistakes")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(learner, "_count_mistakes", no_recount)
+        w = _polish(w, x, y)
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    return w
+
+
+def _last_iterate(w, x, y):
+    """The one-block polish's iterate after all 64 epochs."""
+    y = y.astype(x.dtype)
+    w = w.astype(x.dtype)
+    for _ in range(64):
+        bad = (x @ w) * y <= 0.0
+        w = w + y[bad] @ x[bad]
+    return w
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_block_polish_of_a_separable_batch_matches_recounting_oracle(
+    monkeypatch, dtype
+):
+    x, y, _ = _polish_batch(d=20, n=200, seed=3, dtype=dtype)
+    start = y @ x
+    assert _count_mistakes(start, x, y) > 0
+    want = polish_with_recounts(start, x, y)
+    w = _one_block_polish(start, x, y, monkeypatch)
+    assert w.dtype == dtype
+    assert _count_mistakes(w, x, y) == 0
+    assert np.array_equal(w, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", [1, 4])
+def test_one_block_polish_at_the_epoch_cap_matches_recounting_oracle(
+    monkeypatch, seed, dtype
+):
+    # 150 rows in 3 coordinates that miss the target: every epoch makes
+    # mistakes, and the last iterate is not the winner. With seed 1 an
+    # epoch-end iterate wins, with seed 4 the start does
+    x, y, _ = _polish_batch(d=20, n=150, seed=seed, r=3, dtype=dtype)
+    start = y @ x
+    want = polish_with_recounts(start, x, y)
+    w = _one_block_polish(start, x, y, monkeypatch)
+    assert np.array_equal(w, want)
+    assert (w is start) == (seed == 4)
+    last = _last_iterate(start, x, y)
+    assert 0 < _count_mistakes(w, x, y) < _count_mistakes(last, x, y)
 
 
 def test_learn_past_one_chunk_holds_the_batch_once():

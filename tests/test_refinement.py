@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -204,6 +205,50 @@ def test_solver_validates():
     for bad in (-1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
             solve_refinement_sdp(list(np.eye(3)), k=1, tol=bad)
+
+
+def _unit_gaussian_rows(n: int, d: int, seed: int) -> np.ndarray:
+    W = np.random.default_rng(seed).standard_normal((n, d))
+    return W / np.linalg.norm(W, axis=1)[:, None]
+
+
+def test_solver_given_span_is_its_own_gram_schmidt():
+    # the benchmark's sdp_hard shape: 100 unit Gaussian rows in R^30, k = 3;
+    # a span folded by the caller replaces the solver's Gram-Schmidt exactly
+    W = _unit_gaussian_rows(100, 30, seed=0)
+    own = solve_refinement_sdp(W, k=3, tol=5e-3)
+    given = solve_refinement_sdp(W, k=3, tol=5e-3, span=orthonormalize(list(W)))
+    assert own.iterations > 1
+    for f in fields(SdpSolution):
+        assert np.array_equal(getattr(own, f.name), getattr(given, f.name)), f.name
+
+
+def test_solver_rejects_a_span_other_than_the_features_span():
+    W = _unit_gaussian_rows(20, 6, seed=1)
+    with pytest.raises(ValueError, match=r"span lives in R\^7, the features in R\^6"):
+        solve_refinement_sdp(W, k=2, span=Subspace(basis=np.eye(7)[:, :6]))
+    with pytest.raises(ValueError, match="span misses a feature"):
+        solve_refinement_sdp(W, k=2, span=Subspace(basis=np.eye(6)[:, :5]))
+    # one feature leaves span{e0, e1} by an angle whose cosine falls short
+    # of 1 by 5e-9, past the 1e-9 allowed; rounding-level losses pass
+    theta = 1e-4
+    V = [E[0], E[1], math.cos(theta) * E[0] + math.sin(theta) * E[2]]
+    plane = Subspace(basis=np.eye(5)[:, :2])
+    with pytest.raises(ValueError, match="span misses a feature"):
+        solve_refinement_sdp(V, k=1, span=plane)
+    sol = solve_refinement_sdp(V[:2], k=1, span=plane)
+    assert sol.Q is plane.basis
+    # wider than span(W), so r would pass rank(W): an axis no feature
+    # fills, more axes than features, and the span of five rows given with four
+    wider = Subspace(basis=np.eye(5)[:, :3])
+    for feats, span in [
+        (V[:2] + [(E[0] + E[1]) / math.sqrt(2.0)], wider),
+        (V[:2], wider),
+        (W[:4], orthonormalize(list(W[:5]))),
+    ]:
+        with pytest.raises(ValueError, match="span has a direction no feature fills"):
+            solve_refinement_sdp(feats, k=1, span=span)
+    assert solve_refinement_sdp(W[:4], k=2, span=orthonormalize(list(W[:4]))).converged
 
 
 def _manual_solution(eigvals, k):
