@@ -83,7 +83,6 @@ class RunConfig:
     check_mode: str = "oracle"
     r_max: int | None = None
     sdp_tol: float = 5e-3
-    sdp_max_iters: int | None = None
 
     @property
     def epsilon_acc(self) -> float:
@@ -127,8 +126,6 @@ class RunConfig:
             raise ValueError(
                 f"sdp_tol must be positive and finite, got {self.sdp_tol}"
             )
-        if self.sdp_max_iters is not None and self.sdp_max_iters < 1:
-            raise ValueError("sdp_max_iters must be >= 1")
 
 
 _CURVE_FIELDS = (
@@ -298,7 +295,7 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     check_rng = rng_substream(config.seed, NS_CHECK)
 
     active: Subspace | None = None
-    raw: list[np.ndarray] = []  # every full-d feature learned, in order
+    raw: list[np.ndarray] = []  # rr: every full-d feature learned, in order
     raw_span: Subspace | None = None  # rr: orthonormalize(raw), one extend at a time
     H = np.zeros((config.m, config.d))  # row t: task t's classifier, in span(active)
     refinements = 0
@@ -321,8 +318,8 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
         if not passed:
             fresh = learn_halfspace(stream, t, config.epsilon_acc, config.c_s)
             rep += fresh.samples_used
-            raw.append(fresh.direction)
             if config.mode == "rr":
+                raw.append(fresh.direction)
                 raw_span = extend(raw_span, fresh.direction)
             active = extend(active, fresh.direction)
             # the span only grows here, so the earlier classifiers stay in it
@@ -338,7 +335,6 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
                 config.k,
                 config.epsilon_acc,
                 tol=config.sdp_tol,
-                max_iters=config.sdp_max_iters,
                 full_output=True,
                 span=raw_span,
             )

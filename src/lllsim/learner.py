@@ -10,10 +10,11 @@ its angle error only shrinks like sqrt(d/n). Perceptron passes over the
 same batch then drive the training mistakes to zero; the consistent
 direction generalizes at the ~d/n rate the budget formula is shaped for.
 
-Both stages compute in the inputs' dtype. A full-d learn fits the float32
-sample batch as stored, so it holds n*d*4 bytes and no float64 copy of the
-batch; an in-span learn fits a batch drawn directly in the basis's r
-float64 coordinates, n*r*8 bytes, with no d-dimensional rows at all. Both
+Both stages need only the signed rows y*x, and compute in the inputs'
+dtype. A full-d learn signs its float32 sample batch in place, so it holds
+n*d*4 bytes and no copy of the batch; an in-span learn fits a batch drawn
+directly in the basis's r float64 coordinates, n*(r + 1)*8 bytes, signed
+into an n*r*8 byte product, with no d-dimensional rows at all. Both
 return a unit direction in R^d, normalized in float64; an in-span fit is
 mapped to R^d through the basis.
 """
@@ -69,75 +70,50 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def _count_mistakes(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
-    # w in x's dtype: a float64 w would make x @ w copy a float32 x to float64
-    return int(np.count_nonzero((x @ w.astype(x.dtype, copy=False)) * y <= 0.0))
+def _count_mistakes(w: np.ndarray, xy: np.ndarray) -> int:
+    # w in xy's dtype: a float64 w would make xy @ w copy a float32 xy to float64
+    return int(np.count_nonzero(xy @ w.astype(xy.dtype, copy=False) <= 0.0))
 
 
-def _polish(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Perceptron passes toward a direction consistent with the batch (x, y).
+def _polish(w: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Perceptron passes toward a direction consistent with the signed rows xy.
 
-    Each epoch runs over the batch in blocks of `_POLISH_BLOCK` rows; an
-    update adds y*x over a block's mistakes, and a mistake-free epoch stops
-    the passes. The batch need not be separable when the target sits outside
-    the basis: if the epoch cap comes first, the result is the first of the
-    start and the epoch-end iterates with the fewest mistakes, so it never
-    classifies the batch worse than the start.
+    Row i of xy is y_i * x_i, so it is a mistake exactly when xy_i . w <= 0.
+    Each epoch scans the batch in blocks of `_POLISH_BLOCK` rows and adds
+    each block's mistakes to w; a mistake-free epoch stops the passes. The
+    batch need not be separable when the target sits outside the basis: if
+    the epoch cap comes first, one last scan counts the final iterate, and
+    the result is the first of the start and the epoch-end iterates with the
+    fewest mistakes, so it never classifies the batch worse than the start.
 
-    A batch of one block (every in-span batch up to dim 22 at eps = 0.1, and
-    joint's N = 200) is fit on its signed rows y*x, a copy of at most
-    `_POLISH_BLOCK` rows: a sign flip is exact, so (y*x) @ w is (x @ w) * y
-    bit for bit. Each epoch's scan then counts the mistakes of one iterate,
-    and those counts pick the winner at the cap. A larger batch is scanned in
-    place, block by block, and its epoch-end iterates are recounted at the
-    cap. Neither path changes x or y.
-
-    The passes compute in x's dtype. The start object itself is returned
-    when it wins, so a mistake-free start comes back unchanged.
+    An epoch's scan counts the mistakes of the iterate it started from when
+    the batch is one block (every in-span batch up to dim 22 at eps = 0.1,
+    and joint's N = 200), so at the cap those counts pick the winner. A
+    larger batch recounts its earlier iterates there instead. xy is not
+    changed. The passes compute in xy's dtype. The start object itself is
+    returned when it wins, so a mistake-free start comes back unchanged.
     """
-    y = y.astype(x.dtype, copy=False)  # int64 labels would upcast to float64
-    if y.size <= _POLISH_BLOCK:
-        return _polish_one_block(w, x * y[:, None])
-    iterates = [w]
-    w = w.astype(x.dtype, copy=False)
-    blocks = [
-        (x[lo : lo + _POLISH_BLOCK], y[lo : lo + _POLISH_BLOCK])
-        for lo in range(0, y.size, _POLISH_BLOCK)
-    ]
-    for _ in range(_POLISH_EPOCHS):
-        updated = False
-        for xb, yb in blocks:
-            bad = (xb @ w) * yb <= 0.0
-            if bad.any():
-                w = w + yb[bad] @ xb[bad]
-                updated = True
-        if not updated:
-            return iterates[-1]
-        iterates.append(w)
-    mistakes = [_count_mistakes(v, x, y) for v in iterates]
-    return iterates[mistakes.index(min(mistakes))]
-
-
-def _polish_one_block(w: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """`_polish` on one block of signed rows xy = y*x.
-
-    Scan e counts the mistakes of iterate e (iterate 0 is the start), and one
-    scan past the cap counts the last, so the winner needs no recount. The
-    update ones @ xy[bad] is the same gemv as y[bad] @ x[bad].
-    """
-    ones = np.ones(len(xy), dtype=xy.dtype)
-    best, fewest = w, len(xy) + 1
+    ones = np.ones(min(len(xy), _POLISH_BLOCK), dtype=xy.dtype)
+    blocks = [xy[lo : lo + _POLISH_BLOCK] for lo in range(0, len(xy), _POLISH_BLOCK)]
+    iterates, mistakes = [], []
     current = w
     w = w.astype(xy.dtype, copy=False)
     for epoch in range(_POLISH_EPOCHS + 1):
-        bad = xy @ w <= 0.0
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad < fewest:
-            best, fewest = current, n_bad
-        if n_bad == 0 or epoch == _POLISH_EPOCHS:
-            return best
-        w = w + ones[:n_bad] @ xy.compress(bad, axis=0)
+        iterates.append(current)
+        mistakes.append(0)
+        for block in blocks:
+            bad = block @ w <= 0.0
+            n_bad = int(np.count_nonzero(bad))
+            mistakes[-1] += n_bad
+            if n_bad and epoch < _POLISH_EPOCHS:
+                w = w + ones[:n_bad] @ block.compress(bad, axis=0)
+        if mistakes[-1] == 0:
+            return current
         current = w
+    if len(blocks) > 1:
+        # later blocks were scanned against updated iterates
+        mistakes[:-1] = [_count_mistakes(v, xy) for v in iterates[:-1]]
+    return iterates[mistakes.index(min(mistakes))]
 
 
 def estimate_direction(
@@ -152,12 +128,17 @@ def estimate_direction(
     it. Deterministic given the stream's seed. With an orthonormal `basis`
     (d, r), `sample_batch` draws the inputs' r float64 coordinates and
     labels of the full-dimensional law, and both stages fit those. Without
-    it both stages run on the float32 batch. The batch is one
-    `sample_batch` draw, held once.
+    it both stages run on the float32 batch. The polish fits the signed
+    rows y*x: a full-d batch is signed in place, so it is held once; an
+    in-span batch's coordinates are a strided view of its draw, signed
+    into one contiguous (n, r) product.
     """
     batch = sample_batch(stream, task, n, basis)
-    y = batch.y.astype(batch.x.dtype)  # int64 @ float32 would copy x to float64
-    return _normalize(_polish(y @ batch.x, batch.x, y))
+    x = batch.x
+    y = batch.y.astype(x.dtype)  # int64 labels would make both products float64
+    start = y @ x  # before signing: on a strided x, ones @ xy rounds differently
+    xy = np.multiply(x, y[:, None], out=x if x.flags.c_contiguous else None)
+    return _normalize(_polish(start, xy))
 
 
 def learn_halfspace(

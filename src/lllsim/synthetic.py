@@ -224,7 +224,8 @@ def task_errors(H: np.ndarray, A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if H.ndim != 2 or H.shape != A.shape:
         raise ValueError(f"need (n, d) arrays of one shape, got {H.shape}, {A.shape}")
-    off = np.abs(np.linalg.norm((H, A), axis=-1) - 1.0)
-    if (off > _UNIT_TOL).any():
-        raise ValueError(f"expected unit rows, got a norm off by {off.max()}")
+    for M in (H, A):
+        off = np.abs(np.linalg.norm(M, axis=-1) - 1.0)
+        if (off > _UNIT_TOL).any():
+            raise ValueError(f"expected unit rows, got a norm off by {off.max()}")
     return _angle_over_pi(H, A)

@@ -13,8 +13,10 @@ solution and its rounding against them.
 list in one loop, as `orthonormalize` ran before it became `extend` folded
 over the list. The geometry tests compare the two bit for bit.
 
-`polish_with_recounts` is the perceptron polish that recounts the batch's
-mistakes after every epoch. The learner tests compare `_polish` against it.
+`polish_with_recounts` is the perceptron polish on the unsigned batch
+(x, y) that recounts its mistakes after every epoch, each counted by
+`mistakes` as (x @ w) * y <= 0. The learner tests compare `_polish`, which
+fits the signed rows y*x, against it.
 
 `draw_patterns_loop` draws the lower-bound harness's Bernoulli patterns one
 row at a time, redrawing each all-zero row, as the harness did before it
@@ -57,7 +59,7 @@ from lllsim.geometry import (
     orthonormalize,
     principal_angles,
 )
-from lllsim.learner import _POLISH_BLOCK, _POLISH_EPOCHS, _count_mistakes
+from lllsim.learner import _POLISH_BLOCK, _POLISH_EPOCHS
 from lllsim.lowerbound import (
     AngleStats,
     LowerBoundInstance,
@@ -283,17 +285,24 @@ def gram_schmidt_loop(vectors, drop_tol: float = DROP_TOL) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def mistakes(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
+    """Rows of the batch (x, y) that w misclassifies, ties included, in x's dtype."""
+    y = y.astype(x.dtype)
+    return int(np.count_nonzero((x @ w.astype(x.dtype)) * y <= 0.0))
+
+
 def polish_with_recounts(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The perceptron polish that counts the batch's mistakes after every epoch.
 
-    Reference for `lllsim.learner._polish`, which counts them only when the
-    epoch cap is reached; both must return the same vector bit for bit.
-    The passes compute in x's dtype; a start that wins is returned as given.
+    Reference for `lllsim.learner._polish`, which fits y*x and counts the
+    mistakes from its own scans, recounting only when the epoch cap is
+    reached; both must return the same vector bit for bit. The passes
+    compute in x's dtype; a start that wins is returned as given.
     """
     n = y.size
     y = y.astype(x.dtype)
     best_w = w
-    best_bad = _count_mistakes(w, x, y)
+    best_bad = mistakes(w, x, y)
     w = w.astype(x.dtype)
     for _ in range(_POLISH_EPOCHS):
         if best_bad == 0:
@@ -309,7 +318,7 @@ def polish_with_recounts(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
         if not updated:
             best_w, best_bad = w, 0
             break
-        n_bad = _count_mistakes(w, x, y)
+        n_bad = mistakes(w, x, y)
         if n_bad < best_bad:
             best_w, best_bad = w, n_bad
     return best_w

@@ -171,14 +171,13 @@ def test_simulate_rr_with_k_equal_d_exits_2_before_any_trial(
     "flags, message",
     [
         (["--mode", "all", "--N", 0], "joint mode needs N >= 1"),
-        (["--mode", "rr", "--sdp-max-iters", 0], "sdp_max_iters must be >= 1"),
         (["--mode", "rr", "--c-s", "inf"], "c_s must be positive and finite, got inf"),
         (
             ["--mode", "rr", "--sdp-tol", "nan"],
             "sdp_tol must be positive and finite, got nan",
         ),
     ],
-    ids=["joint-N-0", "rr-sdp-max-iters-0", "rr-c-s-inf", "rr-sdp-tol-nan"],
+    ids=["joint-N-0", "rr-c-s-inf", "rr-sdp-tol-nan"],
 )
 def test_simulate_config_error_exits_2_before_any_trial(
     tmp_path, capsys, monkeypatch, flags, message
@@ -205,11 +204,13 @@ _LOWERBOUND = ("lowerbound", "--k", 4)
         (*_REFINE, "--c", 3),
         (*_REFINE, "--no-trim"),
         (*_LOWERBOUND, "--eps-vector", "0.1,0.1,0.1,0.1"),
+        (*_SIMULATE, "--mode", "rr", "--sdp-max-iters", 2),
     ],
 )
 def test_simulate_removed_flags_exit_2(tmp_path, capsys, flags):
     # epsilon_acc is derived from acc_constant, r_max alone sets the
-    # schedule, refine has one rounding rule and lowerbound's eps takes a list
+    # schedule, refine has one rounding rule, lowerbound's eps takes a list
+    # and the solver derives its own iteration budget
     out = tmp_path / "x"
     with pytest.raises(SystemExit) as exc:
         run_cli(*flags, "-o", out)
@@ -222,7 +223,7 @@ def test_simulate_removed_flags_exit_2(tmp_path, capsys, flags):
     "command, lines, line",
     [
         pytest.param("simulate", "d=20\nk=2\nm=5\nr_max=3", line, id=line)
-        for line in ("refine_every=threshold", "epsilon_acc=0.05")
+        for line in ("refine_every=threshold", "epsilon_acc=0.05", "sdp_max_iters=5")
     ]
     + [
         pytest.param("refine", "input=feats.txt\nk=3", line, id=line)
@@ -350,7 +351,7 @@ def test_simulate_solver_nonconvergence_exit_4(tmp_path):
     out = tmp_path / "out"
     rc = run_cli(
         "simulate", "--d", 60, "--k", 4, "--m", 40, "--mode", "rr",
-        "--sdp-max-iters", 2, "--sdp-tol", "1e-12", "--seed", 0, "-o", out,
+        "--sdp-tol", "1e-12", "--seed", 0, "-o", out,
     )
     assert rc == 4
     assert "exit code: 4" in (out / "report.txt").read_text()
@@ -360,8 +361,7 @@ def test_simulate_invariant_failure_beats_solver_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_check_invariants", lambda cfg, reports: ["forced"])
     rc = run_cli(
         "simulate", "--d", 60, "--k", 4, "--m", 40, "--mode", "rr",
-        "--sdp-max-iters", 2, "--sdp-tol", "1e-12", "--seed", 0,
-        "-o", tmp_path / "out",
+        "--sdp-tol", "1e-12", "--seed", 0, "-o", tmp_path / "out",
     )
     assert rc == 3
     assert "exit code: 3" in (tmp_path / "out" / "report.txt").read_text()
@@ -867,7 +867,7 @@ def test_lowerbound_resolved_config_roundtrip(tmp_path, args):
 # ------------------------------------------------------------------- flags
 
 # Every field set to a non-None value of its own type.
-_FULL_CONFIG = RunConfig(d=4, k=2, m=3, r_max=3, sdp_max_iters=7)
+_FULL_CONFIG = RunConfig(d=4, k=2, m=3, r_max=3)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -883,16 +883,16 @@ def test_every_run_field_is_a_typed_flag(command, field):
 
 _COMMON_FLAGS = (("--config", "config"), ("-o", "output_dir"), ("--output-dir", "output_dir"))
 # The flags each subcommand accepted before flags were derived from key tables,
-# less refine's --c and --no-trim, removed with the rounding's c and trim, and
-# lowerbound's --eps-vector, folded into --eps.
+# less refine's --c and --no-trim, removed with the rounding's c and trim,
+# lowerbound's --eps-vector, folded into --eps, and simulate's --sdp-max-iters,
+# removed with its RunConfig field.
 _LEGACY_FLAGS = {
     "simulate": (
         ("--d", "d"), ("--k", "k"), ("--m", "m"), ("--N", "N"),
         ("--epsilon", "epsilon"), ("--acc-constant", "acc_constant"),
         ("--c-s", "c_s"), ("--seed", "seed"), ("--trials", "trials"),
         ("--mode", "mode"), ("--check-mode", "check_mode"), ("--r-max", "r_max"),
-        ("--sdp-tol", "sdp_tol"), ("--sdp-max-iters", "sdp_max_iters"),
-        ("--jobs", "jobs"),
+        ("--sdp-tol", "sdp_tol"), ("--jobs", "jobs"),
     ),
     "sweep": (
         ("--d-grid", "d_grid"), ("--epsilon-grid", "epsilon_grid"), ("--d", "d"),
@@ -927,7 +927,7 @@ def test_legacy_flag_keeps_its_dest(command, flag, dest):
 
 
 def test_only_sweep_gains_flags():
-    added = {"--check-mode", "--r-max", "--sdp-tol", "--sdp-max-iters"}
+    added = {"--check-mode", "--r-max", "--sdp-tol"}
     for command, flags in _LEGACY_FLAGS.items():
         sub = cli.build_parser().parse_args([command]).parser
         accepted = set(sub._option_string_actions) - {"-h", "--help"}

@@ -80,12 +80,17 @@ def test_config_is_frozen():
         dict(d=10, k=2, m=5, sdp_tol=math.nan),
         dict(d=5, k=5, m=30, mode="rr"),  # refinement needs k < d
         dict(d=10, k=2, m=5, N=0, mode="joint"),  # joint pools N samples per task
-        dict(d=10, k=2, m=5, sdp_max_iters=0),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+def test_config_has_no_solver_iteration_budget():
+    # the solver derives its own budget from the number of features
+    with pytest.raises(TypeError, match="sdp_max_iters"):
+        RunConfig(d=10, k=2, m=5, sdp_max_iters=5)
 
 
 def test_single_task_run():

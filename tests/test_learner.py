@@ -9,7 +9,7 @@ from lllsim.geometry import orthonormalize
 from lllsim.learner import (
     _POLISH_BLOCK,
     Hypothesis,
-    _count_mistakes,
+    _normalize,
     _polish,
     budget,
     check_hypothesis,
@@ -25,7 +25,7 @@ from lllsim.synthetic import (
     sample_batch,
     task_error_exact,
 )
-from oracle import dist_to_subspace, polish_with_recounts
+from oracle import dist_to_subspace, mistakes, polish_with_recounts
 
 
 def _single_task_problem(a: np.ndarray) -> GroundTruth:
@@ -111,14 +111,19 @@ def _polish_batch(d: int, n: int, seed: int, r: int | None = None, dtype=np.floa
     return x.astype(dtype), batch.y, gt.a[0]
 
 
+def _signed(x, y):
+    """The signed rows y*x that `_polish` fits, in x's dtype."""
+    return x * y.astype(x.dtype)[:, None]
+
+
 def test_polish_separable_batch_matches_recounting_oracle():
     for dtype in (np.float64, np.float32):
         x, y, _ = _polish_batch(d=40, n=2000, seed=3, dtype=dtype)
         start = y @ x
-        assert _count_mistakes(start, x, y) > 0  # the polish has work to do
-        w = _polish(start, x, y)
+        assert mistakes(start, x, y) > 0  # the polish has work to do
+        w = _polish(start, _signed(x, y))
         assert w.dtype == dtype
-        assert _count_mistakes(w, x, y) == 0
+        assert mistakes(w, x, y) == 0
         assert np.array_equal(w, polish_with_recounts(start, x, y))
 
 
@@ -131,33 +136,33 @@ def test_polish_at_the_epoch_cap_matches_recounting_oracle(seed):
     for dtype in (np.float64, np.float32):
         x, y, _ = _polish_batch(d=20, n=400, seed=seed, r=3, dtype=dtype)
         start = y @ x
-        w = _polish(start, x, y)
-        assert _count_mistakes(w, x, y) > 0  # a clean epoch would have ended it
-        assert _count_mistakes(w, x, y) <= _count_mistakes(start, x, y)
+        w = _polish(start, _signed(x, y))
+        assert mistakes(w, x, y) > 0  # a clean epoch would have ended it
+        assert mistakes(w, x, y) <= mistakes(start, x, y)
         assert np.array_equal(w, polish_with_recounts(start, x, y))
 
 
 def test_polish_keeps_a_mistake_free_start():
     x, y, a = _polish_batch(d=30, n=1000, seed=8)
-    assert _count_mistakes(a, x, y) == 0
-    w = _polish(a, x, y)
+    assert mistakes(a, x, y) == 0
+    w = _polish(a, _signed(x, y))
     assert np.array_equal(w, a)
     assert np.array_equal(w, polish_with_recounts(a, x, y))
 
 
-def _one_block_polish(w, x, y, monkeypatch):
-    """_polish on a batch of at most one block, with copies of x and y kept
+def _one_block_polish(w, xy, monkeypatch):
+    """_polish on at most one block of signed rows, with a copy of xy kept
     to check that it leaves them alone and `_count_mistakes` made to fail."""
-    assert y.size <= _POLISH_BLOCK
-    x0, y0 = x.copy(), y.copy()
+    assert len(xy) <= _POLISH_BLOCK
+    xy0 = xy.copy()
 
     def no_recount(*args):
         raise AssertionError("a one-block polish recounted its mistakes")
 
     with monkeypatch.context() as patch:
         patch.setattr(learner, "_count_mistakes", no_recount)
-        w = _polish(w, x, y)
-    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+        w = _polish(w, xy)
+    assert np.array_equal(xy, xy0)
     return w
 
 
@@ -177,11 +182,11 @@ def test_one_block_polish_of_a_separable_batch_matches_recounting_oracle(
 ):
     x, y, _ = _polish_batch(d=20, n=200, seed=3, dtype=dtype)
     start = y @ x
-    assert _count_mistakes(start, x, y) > 0
+    assert mistakes(start, x, y) > 0
     want = polish_with_recounts(start, x, y)
-    w = _one_block_polish(start, x, y, monkeypatch)
+    w = _one_block_polish(start, _signed(x, y), monkeypatch)
     assert w.dtype == dtype
-    assert _count_mistakes(w, x, y) == 0
+    assert mistakes(w, x, y) == 0
     assert np.array_equal(w, want)
 
 
@@ -196,11 +201,61 @@ def test_one_block_polish_at_the_epoch_cap_matches_recounting_oracle(
     x, y, _ = _polish_batch(d=20, n=150, seed=seed, r=3, dtype=dtype)
     start = y @ x
     want = polish_with_recounts(start, x, y)
-    w = _one_block_polish(start, x, y, monkeypatch)
+    w = _one_block_polish(start, _signed(x, y), monkeypatch)
     assert np.array_equal(w, want)
     assert (w is start) == (seed == 4)
     last = _last_iterate(start, x, y)
-    assert 0 < _count_mistakes(w, x, y) < _count_mistakes(last, x, y)
+    assert 0 < mistakes(w, x, y) < mistakes(last, x, y)
+
+
+@pytest.mark.parametrize("n", [_POLISH_BLOCK, _POLISH_BLOCK + 1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_polish_at_the_block_boundary_matches_recounting_oracle(monkeypatch, n, dtype):
+    # n = 256 is the largest batch of one block, scan-counted with no
+    # recount; n = 257 adds a block of one row and recounts at the cap
+    polish = _polish if n > _POLISH_BLOCK else (
+        lambda w, xy: _one_block_polish(w, xy, monkeypatch)
+    )
+    x, y, _ = _polish_batch(d=20, n=n, seed=2, dtype=dtype)
+    start = y @ x
+    assert mistakes(start, x, y) > 0
+    w = polish(start, _signed(x, y))
+    assert mistakes(w, x, y) == 0
+    assert np.array_equal(w, polish_with_recounts(start, x, y))
+    # 3 coordinates that miss the target: the cap ends the passes
+    x, y, _ = _polish_batch(d=20, n=n, seed=2, r=3, dtype=dtype)
+    start = y @ x
+    w = polish(start, _signed(x, y))
+    assert mistakes(w, x, y) > 0
+    assert np.array_equal(w, polish_with_recounts(start, x, y))
+
+
+def _reference_direction(stream, task: int, n: int, basis=None) -> np.ndarray:
+    """estimate_direction on the unsigned batch (x, y): start y @ x, then
+    the recounting polish."""
+    batch = sample_batch(stream, task, n, basis)
+    y = batch.y.astype(batch.x.dtype)
+    return _normalize(polish_with_recounts(y @ batch.x, batch.x, y))
+
+
+@pytest.mark.parametrize("r", [None, 3, 23])
+def test_estimate_direction_matches_the_unsigned_reference(r):
+    # full-d: 2000 float32 rows, eight blocks. In span: r random coordinates
+    # that miss the targets, so every polish runs to the cap; at eps = 0.1
+    # and c_s = 0.5 dim 3 draws 35 rows, one block of strided coordinates,
+    # and dim 23 draws 265, past one block
+    d = 40
+    gt = generate_problem(d=d, k=2, m=3, seed=6)
+    stream, twin, probe = (TaskStream(ground_truth=gt, rng_seed=6) for _ in range(3))
+    basis, n = None, 2000
+    if r is not None:
+        basis = orthonormalize(list(np.random.default_rng(r).standard_normal((r, d)))).basis
+        n = budget(r, 0.1, 0.5)
+        assert (n > _POLISH_BLOCK) == (r == 23)
+        assert not sample_batch(probe, 0, n, basis).x.flags.c_contiguous
+    for task in range(3):
+        want = _reference_direction(twin, task, n, basis)
+        assert np.array_equal(estimate_direction(stream, task, n, basis), want)
 
 
 def test_learn_past_one_chunk_holds_the_batch_once():
