@@ -11,17 +11,28 @@ whose optimal value t* lower-bounds the best achievable squared distance
 for k dimensions, and whose solution rounds spectrally to at most 2k-1
 dimensions with squared distances <= 2 t*.
 
-The solver is a saddle-point multiplicative-weights scheme: the max player
-runs Hedge over the n constraints; the min player best-responds with the
-projector onto the d-k smallest eigenvectors of M(p) = sum_i p_i w_i w_i'.
-Averaged best responses stay feasible by convexity. For every p, the sum
+The solver works on the saddle problem min over X, max over p in the
+simplex, of <X, M(p)> with M(p) = sum_i p_i w_i w_i'. For every p, the sum
 of the d-k smallest eigenvalues of M(p) lower-bounds the optimum, and the
-best such dual value certifies the gap. Two averages are kept: one since
-step 1, which drives Hedge, and one restarted after steps 1, 2, 4, 8, ...,
-which leaves out the poor early best responses ("suffix averaging", as in
-Rakhlin, Shamir and Sridharan 2012). Both are primal candidates at every
-step, and both averaged weight vectors are dual candidates every
-`_DUAL_EVERY` steps.
+best such dual value certifies the gap. Step 1 is the best response to
+uniform p: the projector onto the d-k smallest eigenvectors of M(p), with
+that eigenvalue sum as its dual; it is PCA, and it stops the solve when
+its gap is within the tolerance.
+
+Later steps run mirror-prox (Nemirovski 2004, "Prox-method with rate of
+convergence O(1/t)"), whose step-weighted averages close the gap as
+O(1/t), from the centre of the feasible set with uniform p. The X side
+takes Euclidean prox steps, an eigendecomposition and a capped-simplex
+shift of the eigenvalues (the Fantope projection of Vu, Cho, Lei and
+Rohe 2013); the p side takes entropic (multiplicative) steps. For unit
+rows the operator F = (M(p), -v(X)), v_i(X) = w_i' X w_i, is 1-Lipschitz
+from the (Frobenius, l1) norm pair to its dual: ||M(q)||_F <= ||q||_1 and
+|w' D w| <= ||D||_F. So any step size up to 1 is safe. The step size
+starts at `_GAMMA_START`, halves until Nemirovski's local test passes (a
+size up to 1 passes untested) and grows by `_GAMMA_GROW` after each
+accepted step. The primal candidates are the centre, every iterate and
+the weighted average; the dual candidates are the weights of every half
+step and their weighted average.
 
 Everything happens in the span of the features (dimension r = rank(W)),
 which is exact: any feasible ambient X restricts to a feasible reduced one
@@ -34,15 +45,6 @@ rounding and `dump_solution` work on Q and Xr, and the d x d matrix X is
 never built. k is clamped to r: r <= k gives X = I - QQ' at t = 0.
 Rounding keeps at most 2k - 1 of Xr's eigenvectors and k <= r, so every
 rounded column lies in span(Q).
-
-Hedge's learning rate follows AdaHedge (de Rooij, van Erven, Grunwald and
-Koolen 2014, "Follow the Leader If You Can, Hedge If You Must"): with
-losses l_i = 1 - w_i' X_t w_i, the rate at step t is eta_t = ln n / Delta,
-where Delta is the mixability gap p.l + ln(p.exp(-eta l)) / eta summed over
-the earlier steps. While Delta = 0 the rate is infinite and p is uniform
-over the constraints with the largest cumulative value, so step 1 uses
-uniform weights. The rate adapts to the observed losses and has no
-parameter; the iteration budget only bounds the work.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from .threads import one_blas_thread
 DEFAULT_TOL = 1e-4
 _FEAS_TOL = 1e-6
 _SIGN_TOL = 1e-12
-_DUAL_EVERY = 8  # iterations between the averaged weights' dual checks
+_GAMMA_START = 64.0  # mirror-prox: the first trial step size
+_GAMMA_GROW = 1.25  # growth of the step size after each accepted step
 
 
 class RefinementError(ValueError):
@@ -150,26 +153,82 @@ def _check_span(A: np.ndarray, span: Subspace) -> None:
         )
 
 
+def _gram(Wt: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """M(p) = sum_i p_i w_i w_i' over the rows w_i of Wt."""
+    return Wt.T @ (p[:, None] * Wt)
+
+
+def _values(Wt: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The constraint values w_i' X w_i over the rows w_i of Wt."""
+    return np.einsum("ij,ij->i", Wt @ X, Wt)
+
+
 def _weighted_dual(Wt: np.ndarray, p: np.ndarray, k: int) -> float:
     """Dual value of weights p: the r - k smallest eigenvalues of M(p), summed."""
-    M = Wt.T @ (p[:, None] * Wt)
-    return float(np.linalg.eigvalsh(M)[: Wt.shape[1] - k].sum())
+    return float(np.linalg.eigvalsh(_gram(Wt, p))[: Wt.shape[1] - k].sum())
 
 
-def _mixability_gap(p: np.ndarray, loss: np.ndarray, eta: float) -> float:
-    """Hedge's mixability gap p.loss + ln(p.exp(-eta loss)) / eta, eta in (0, inf].
+def _capped_shift(lam: np.ndarray, s: int) -> np.ndarray:
+    """Euclidean projection of lam onto {mu : 0 <= mu <= 1, sum(mu) = s}.
 
-    The mix term is shifted by the smallest loss on p's support, so a huge
-    eta cannot take the log of an underflowed zero; at eta = inf it is that
-    smallest loss. Rounding can push the gap below 0, so it is clamped there.
+    It is clip(lam - theta, 0, 1) for the shift theta that makes the sum s,
+    with 0 < s < len(lam). The sum falls piecewise linearly in theta, with
+    knots at lam - 1 and lam, so theta is interpolated on the piece where
+    it crosses s.
     """
-    support = p > 0.0
-    ps, ls = p[support], loss[support]
-    low = float(ls.min())
-    mix = low
-    if not math.isinf(eta):
-        mix -= math.log(float(ps @ np.exp(-eta * (ls - low)))) / eta
-    return max(0.0, float(ps @ ls) - mix)
+    knots = np.sort(np.concatenate((lam - 1.0, lam)))
+    sums = np.clip(lam - knots[:, None], 0.0, 1.0).sum(axis=1)  # r, falling to 0
+    j = int(np.count_nonzero(sums >= s))  # sums[j - 1] >= s > sums[j]
+    lo, hi = knots[j - 1], knots[j]
+    theta = lo + (hi - lo) * (sums[j - 1] - s) / (sums[j - 1] - sums[j])
+    return np.clip(lam - theta, 0.0, 1.0)
+
+
+def _project(Y: np.ndarray, s: int) -> np.ndarray:
+    """Frobenius projection of symmetric Y onto {0 <= X <= I, trace(X) = s}.
+
+    The eigenvectors stay and the eigenvalues take the capped-simplex shift
+    (Vu, Cho, Lei and Rohe 2013, "Fantope projection and selection").
+    """
+    lam, V = np.linalg.eigh(Y)
+    return (V * _capped_shift(lam, s)) @ V.T
+
+
+def _normalize_logs(lq: np.ndarray) -> np.ndarray:
+    """Log-weights shifted so their exponentials sum to 1."""
+    top = lq.max()
+    return lq - (top + math.log(float(np.exp(lq - top).sum())))
+
+
+def _kl(la: np.ndarray, lb: np.ndarray) -> float:
+    """KL(a || b) of two weight vectors given by normalized log-weights."""
+    return float(np.exp(la) @ (la - lb))
+
+
+def _mirror_prox_step(Wt, X, lq, Mz, vz, gamma, s):
+    """One extragradient step of size gamma from z = (X, q), q = exp(lq).
+
+    F(z) = (M(q), -v(X)) with v(X)_i = w_i' X w_i; Mz and vz are M(q) and
+    v(X). Each prox step moves X by a Euclidean projection and q by a
+    multiplicative update: the half step w uses F(z), the full step z+
+    uses F(w), both from z. Returns (Xw, lw, Mw, vw, Xn, ln, excess), where
+    excess = gamma <F(w) - F(z), w - z+> - D(w, z) - D(z+, w) with D the
+    Bregman divergence (half the squared Frobenius distance plus KL);
+    Nemirovski's test accepts the step when excess <= 0.
+    """
+    Xw = _project(X - gamma * Mz, s)
+    lw = _normalize_logs(lq + gamma * vz)
+    Mw, vw = _gram(Wt, np.exp(lw)), _values(Wt, Xw)
+    Xn = _project(X - gamma * Mw, s)
+    ln = _normalize_logs(lq + gamma * vw)
+    dXw, dXn = Xw - X, Xn - Xw
+    excess = (
+        gamma * (np.vdot(Mw - Mz, -dXn) + (vz - vw) @ (np.exp(lw) - np.exp(ln)))
+        - 0.5 * (np.vdot(dXw, dXw) + np.vdot(dXn, dXn))
+        - _kl(lw, lq)
+        - _kl(ln, lw)
+    )
+    return Xw, lw, Mw, vw, Xn, ln, float(excess)
 
 
 def solve_refinement_sdp(
@@ -179,21 +238,24 @@ def solve_refinement_sdp(
     tol: float = DEFAULT_TOL,
     span: Subspace | None = None,
 ) -> SdpSolution:
-    """Approximately solve the refinement SDP by saddle-point MWU.
+    """Approximately solve the refinement SDP: a best response, then mirror-prox.
 
-    The constraint weights follow Hedge with the AdaHedge rate (see the
-    module docstring), so `max_iters` (default ceil(2000 ln n)) is only a
-    budget: it does not set the step size. The primal value is the best of
-    the averaged best responses since step 1 and since the last power of
-    two. The dual bound is taken from every iterate's weights and, every
-    `_DUAL_EVERY` iterations and once at the end, from both averaged weight
-    vectors; the solver stops once the gap reaches `tol`. Returns the best
-    averaged iterate with a certified duality gap, t computed from that Xr,
-    and as `weights` the average since step 1; checkpoints come every
-    max_iters // 64 iterations and at the stop. If the gap does not reach
-    `tol` within `max_iters` the solution is still feasible and `converged`
-    is False. k is clamped to r = rank(W): for r <= k the exact optimum
-    t = 0 comes back without iterating, with `k` = r.
+    Step 1 is the best response to uniform weights; steps 2, 3, ... are
+    adaptive mirror-prox steps from the centre (see the module docstring).
+    `iterations` counts step 1 and every accepted mirror-prox step, and
+    `max_iters` (default ceil(2000 ln n)) bounds it; the step size is set
+    by the local test, not by the budget. Primal candidates are step 1's
+    best response, the centre, every iterate and the step-weighted average
+    of the half steps; dual candidates are the eigenvalue sums at uniform
+    weights, at every half step's weights and at their weighted average
+    p_bar, which comes back as `weights` (uniform when step 1 stops). The
+    solver stops once the gap reaches `tol`. Returns the best primal
+    candidate with t computed from that Xr and a certified duality gap;
+    checkpoints come every max_iters // 64 iterations and at the stop. If
+    the gap does not reach `tol` within `max_iters` the solution is still
+    feasible and `converged` is False. k is clamped to r = rank(W): for
+    r <= k the exact optimum t = 0 comes back without iterating, with `k`
+    = r.
 
     `span` is an orthonormal basis of span(W) the caller already holds, such
     as the driver's raw features folded through `extend`; it stands in for
@@ -235,74 +297,72 @@ def solve_refinement_sdp(
         )
 
     Wt = A @ Q  # (n, r) unit rows spanning R^r
+    s = r - k
     log_n = math.log(n)  # n >= r >= 2 here
     if max_iters is None:
         max_iters = math.ceil(2000.0 * log_n)
-
-    mix_gap = 0.0  # AdaHedge's cumulative mixability gap Delta
-    sum_X = np.zeros((r, r))  # sums since step 1
-    sum_v = np.zeros(n)
-    sum_p = np.zeros(n)
-    best_primal = np.inf
-    best_dual = -np.inf
-    best_sum_X = sum_X
-    best_count = 1
     checkpoints: list[tuple] = []
     stride = max(1, max_iters // 64)
-    done = 0
-    for it in range(1, max_iters + 1):
-        done = it
-        if (it - 1) & (it - 2) == 0:  # it - 1 is 0 or a power of two: restart
-            suf_X = np.zeros((r, r))
-            suf_v = np.zeros(n)
-            suf_p = np.zeros(n)
-            suf_count = 0
-        if mix_gap > 0.0:
-            eta = log_n / mix_gap
-            p = np.exp(eta * (sum_v - sum_v.max()))
-        else:  # eta = inf: uniform over the current leaders
-            eta = math.inf
-            p = (sum_v == sum_v.max()).astype(float)
-        p /= p.sum()
-        M = Wt.T @ (p[:, None] * Wt)
-        vals, vecs = np.linalg.eigh(M)
-        U = vecs[:, : r - k]  # best response: projector onto r-k smallest
-        dual = float(vals[: r - k].sum())
-        best_dual = max(best_dual, dual)
-        WU = Wt @ U
-        v = np.einsum("ij,ij->i", WU, WU)
-        P = U @ U.T
-        for s_X, s_v, s_p in ((sum_X, sum_v, sum_p), (suf_X, suf_v, suf_p)):
-            s_X += P
-            s_v += v
-            s_p += p
-        suf_count += 1
-        for s_X, s_v, count in ((sum_X, sum_v, it), (suf_X, suf_v, suf_count)):
-            primal = float(s_v.max()) / count
+
+    # step 1: the projector onto the r - k smallest eigenvectors of M(p) at
+    # uniform p, and the sum of those eigenvalues
+    p_bar = np.full(n, 1.0 / n)
+    vals, vecs = np.linalg.eigh(_gram(Wt, p_bar))
+    U = vecs[:, :s]
+    best_dual = float(vals[:s].sum())
+    WU = Wt @ U
+    best_primal = float(np.einsum("ij,ij->i", WU, WU).max())
+    best_X = U @ U.T
+    done = 1
+    gap = best_primal - best_dual
+    if stride == 1 or gap <= tol:
+        checkpoints.append((1, best_primal, best_dual, max(gap, 0.0)))
+
+    if gap > tol and max_iters > 1:
+        X = np.eye(r) * (s / r)  # the centre, with uniform weights
+        lq = np.full(n, -log_n)
+        gamma = _GAMMA_START
+        sum_gamma = 0.0
+        sum_X, sum_M = np.zeros((r, r)), np.zeros((r, r))
+        sum_v, sum_p = np.zeros(n), np.zeros(n)
+        for done in range(2, max_iters + 1):
+            Mz, vz = _gram(Wt, np.exp(lq)), _values(Wt, X)
+            while True:
+                Xw, lw, Mw, vw, Xn, ln, excess = _mirror_prox_step(
+                    Wt, X, lq, Mz, vz, gamma, s
+                )
+                # F is 1-Lipschitz, so a step size up to 1 passes the test
+                if gamma <= 1.0 or excess <= 0.0:
+                    break
+                gamma *= 0.5
+            pw = np.exp(lw)
+            sum_gamma += gamma
+            sum_X += gamma * Xw
+            sum_M += gamma * Mw
+            sum_v += gamma * vw
+            sum_p += gamma * pw
+            for primal, cand in ((float(vz.max()), X), (float(vw.max()), Xw)):
+                if primal < best_primal:
+                    best_primal, best_X = primal, cand
+            primal = float(sum_v.max()) / sum_gamma
             if primal < best_primal:
-                best_primal = primal
-                best_sum_X = s_X.copy()
-                best_count = count
-        if it % _DUAL_EVERY == 0:
-            # the averaged weights usually certify a much tighter dual value
+                best_primal, best_X = primal, sum_X / sum_gamma
             best_dual = max(
                 best_dual,
-                _weighted_dual(Wt, sum_p / it, k),
-                _weighted_dual(Wt, suf_p / suf_count, k),
+                float(np.linalg.eigvalsh(Mw)[:s].sum()),
+                float(np.linalg.eigvalsh(sum_M / sum_gamma)[:s].sum()),
             )
-        gap = best_primal - best_dual
-        if it % stride == 0 or gap <= tol:
-            checkpoints.append((it, best_primal, best_dual, max(gap, 0.0)))
-        if gap <= tol:
-            break
-        mix_gap += _mixability_gap(p, 1.0 - v, eta)
+            gap = best_primal - best_dual
+            if done % stride == 0 or gap <= tol:
+                checkpoints.append((done, best_primal, best_dual, max(gap, 0.0)))
+            if gap <= tol:
+                break
+            X, lq = Xn, ln
+            gamma *= _GAMMA_GROW
+        p_bar = sum_p / sum_gamma
 
-    p_bar = sum_p / done
-    p_suf = suf_p / suf_count
-    best_dual = max(best_dual, _weighted_dual(Wt, p_bar, k), _weighted_dual(Wt, p_suf, k))
-
-    Xr = best_sum_X / best_count
-    Xr = 0.5 * (Xr + Xr.T)
+    best_dual = max(best_dual, _weighted_dual(Wt, p_bar, k))
+    Xr = 0.5 * (best_X + best_X.T)
     t_val = float(np.einsum("ij,jk,ik->i", Wt, Xr, Wt).max())
     gap = max(0.0, t_val - best_dual)
     checkpoints.append((done, t_val, best_dual, gap))

@@ -9,6 +9,11 @@ matrix X and round it with a d x d eigendecomposition, as the solver did
 before it kept X factored. The refinement tests compare the factored
 solution and its rounding against them.
 
+`project_by_bisection` is the Frobenius projection onto the solver's
+feasible set {0 <= X <= I, trace(X) = s}, with the eigenvalue shift found
+by bisection. The refinement tests compare the solver's projection, which
+finds the shift on the piecewise-linear eigenvalue sum, against it.
+
 `gram_schmidt_loop` is the two-pass modified Gram-Schmidt over a whole
 list in one loop, as `orthonormalize` ran before it became `extend` folded
 over the list. The geometry tests compare the two bit for bit.
@@ -257,6 +262,23 @@ def dense_solution_X(W, k: int, Xr: np.ndarray) -> np.ndarray:
     else:
         X = Q @ Xr @ Q.T + (np.eye(d) - Q @ Q.T)
     return 0.5 * (X + X.T)
+
+
+def project_by_bisection(Y: np.ndarray, s: int, steps: int = 200) -> np.ndarray:
+    """Projection of symmetric Y onto {0 <= X <= I, trace(X) = s}, 0 < s < r.
+
+    Keeps Y's eigenvectors and maps each eigenvalue lam to clip(lam - theta,
+    0, 1), where theta is bisected until the clipped values sum to s.
+    """
+    lam, V = np.linalg.eigh(Y)
+    lo, hi = float(lam.min()) - 1.0, float(lam.max())  # sums r and 0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if np.clip(lam - mid, 0.0, 1.0).sum() > s:
+            lo = mid
+        else:
+            hi = mid
+    return (V * np.clip(lam - 0.5 * (lo + hi), 0.0, 1.0)) @ V.T
 
 
 def dense_round_sdp(X: np.ndarray, k: int) -> Subspace:

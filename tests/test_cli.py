@@ -348,10 +348,13 @@ def test_simulate_env_var_names_default_output_dir(tmp_path, monkeypatch):
 
 
 def test_simulate_solver_nonconvergence_exit_4(tmp_path):
+    # the refinements past k features run out their budgets at gaps of
+    # 2e-14 to 2e-12, so no tol of 1e-15 is reachable; the solver reaches
+    # 1e-12 on them
     out = tmp_path / "out"
     rc = run_cli(
         "simulate", "--d", 60, "--k", 4, "--m", 40, "--mode", "rr",
-        "--sdp-tol", "1e-12", "--seed", 0, "-o", out,
+        "--sdp-tol", "1e-15", "--seed", 0, "-o", out,
     )
     assert rc == 4
     assert "exit code: 4" in (out / "report.txt").read_text()
@@ -361,7 +364,7 @@ def test_simulate_invariant_failure_beats_solver_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_check_invariants", lambda cfg, reports: ["forced"])
     rc = run_cli(
         "simulate", "--d", 60, "--k", 4, "--m", 40, "--mode", "rr",
-        "--sdp-tol", "1e-12", "--seed", 0, "-o", tmp_path / "out",
+        "--sdp-tol", "1e-15", "--seed", 0, "-o", tmp_path / "out",
     )
     assert rc == 3
     assert "exit code: 3" in (tmp_path / "out" / "report.txt").read_text()
