@@ -161,7 +161,7 @@ _RUN_KEYS = {
     f.name: (_scalar(_RUN_HINTS[f.name]), None if f.default is MISSING else f.default)
     for f in fields(RunConfig)
 }
-_SIMULATE_KEYS = {**_RUN_KEYS, "jobs": (int, 1)}
+_SIMULATE_KEYS = {**_RUN_KEYS, "trials": (int, 1), "jobs": (int, 1)}
 _SWEEP_KEYS = {**_SIMULATE_KEYS, "d_grid": (str, None), "epsilon_grid": (str, None)}
 _REFINE_KEYS = {
     "input": (str, None),
@@ -267,7 +267,7 @@ def _cmd_simulate(merged: dict, out_dir: Path) -> int:
         raise CliError(f"mode must be one of {MODES + ('all',)}, got {mode_req!r}")
     modes = MODES if mode_req == "all" else (mode_req,)
     cfgs = [_base_config(dict(merged, mode=mode)) for mode in modes]
-    groups = run_trials(cfgs, jobs=merged["jobs"])
+    groups = run_trials(cfgs, merged["trials"], merged["jobs"])
     out_dir.mkdir(parents=True, exist_ok=True)
     all_rows = []
     report_lines = []
@@ -322,7 +322,7 @@ def _cmd_sweep(merged: dict, out_dir: Path) -> int:
     points = [("d", d, dict(merged, d=d)) for d in d_grid]
     points += [("epsilon", e, dict(merged, epsilon=e)) for e in eps_grid]
     cfgs = [_base_config(point) for _, _, point in points]
-    groups = run_trials(cfgs, jobs=merged["jobs"])
+    groups = run_trials(cfgs, merged["trials"], merged["jobs"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
@@ -334,7 +334,7 @@ def _cmd_sweep(merged: dict, out_dir: Path) -> int:
         totals = [r.samples_total for r in reports]
         mean = float(np.mean(totals))
         means[axis].append(mean)
-        rows.append([axis, value, cfg.trials, mean, float(np.std(totals))])
+        rows.append([axis, value, merged["trials"], mean, float(np.std(totals))])
 
     if d_grid:
         if len(d_grid) >= 2:

@@ -18,10 +18,11 @@ are the rows of one (m, d) array of ambient unit vectors, all inside the
 active subspace. Migrating them to a refined basis is one projection of
 that array, and their errors come from one batched `task_errors` call.
 
-Every labeled sample consumed is charged to exactly one ledger phase
-(representation, combination, checking), and reports carry per-task curves
-for accuracy, feature dimension, and the angle between the learned subspace
-and the true task span.
+Every labeled sample is charged where it is drawn, to one ledger phase
+(representation, combination, checking) of the run's `TaskStream.drawn`;
+the recorder reads the cumulative curve and the phase totals from that
+array. Reports carry per-task curves for accuracy, feature dimension, and
+the angle between the learned subspace and the true task span.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class RunConfig:
     acc_constant: float = 0.75
     c_s: float = 0.5
     seed: int = 0
-    trials: int = 1
     mode: str = "basic"
     check_mode: str = "oracle"
     r_max: int | None = None
@@ -107,8 +107,6 @@ class RunConfig:
             raise ValueError(f"joint mode needs N >= 1 samples per task, got N={self.N}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not (0.0 < self.c_s < math.inf):  # NaN fails both comparisons
             raise ValueError(f"c_s must be positive and finite, got {self.c_s}")
         if self.mode not in MODES:
@@ -222,11 +220,12 @@ def _resolve_problem(config: RunConfig, problem: GroundTruth | None) -> GroundTr
 
 
 class _Recorder:
-    """One run's problem, clock and per-task record, filled one task at a time.
+    """One run's problem, sample stream, clock and per-task record.
 
-    A run writes task errors into `err` (rr rewrites earlier entries on a
-    refinement), appends to the event lists, and calls `close` once per
-    task; `report` builds the RunReport from these and the run's ledger.
+    A run draws from `stream`, writes task errors into `err` (rr rewrites
+    earlier entries on a refinement), appends to the event lists, and calls
+    `close` once per task; `report` builds the RunReport from these and the
+    ledger the stream counted.
     """
 
     def __init__(self, config: RunConfig, problem: GroundTruth | None):
@@ -235,6 +234,7 @@ class _Recorder:
         self.config = config
         self.gt = _resolve_problem(config, problem)
         self.truth = orthonormalize(self.gt.W_star)
+        self.stream = TaskStream(ground_truth=self.gt, rng_seed=config.seed)
         self.err = np.full(m, np.nan)
         self.acc = np.empty(m)
         self.min_acc = np.empty(m)
@@ -245,8 +245,8 @@ class _Recorder:
         self.relearns: list[int] = []  # tasks relearned after a refinement
         self._angled = self._angle = None  # the last subspace angled, its angle
 
-    def close(self, t: int, V: Subspace, samples: int) -> None:
-        """Task t's curve points from V, err[: t + 1] and cumulative samples."""
+    def close(self, t: int, V: Subspace) -> None:
+        """Task t's curve points from V, err[: t + 1] and the samples drawn so far."""
         self.dim[t] = V.dim
         if V is not self._angled:  # the subspace changed since it was angled
             self._angled = V
@@ -255,16 +255,10 @@ class _Recorder:
         seen = 1.0 - self.err[: t + 1]
         self.acc[t] = float(np.mean(seen))
         self.min_acc[t] = float(np.min(seen))
-        self.samples[t] = samples
+        self.samples[t] = self.stream.drawn.sum()
 
-    def report(
-        self,
-        rep: int,
-        comb: int = 0,
-        chk: int = 0,
-        refinements: int = 0,
-        converged: bool = True,
-    ) -> RunReport:
+    def report(self, refinements: int = 0, converged: bool = True) -> RunReport:
+        rep, comb, chk = (int(n) for n in self.stream.drawn.sum(axis=0))
         return RunReport(
             mode=self.config.mode,
             seed=self.config.seed,
@@ -290,8 +284,7 @@ class _Recorder:
 def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     """basic and rr: grow features on demand; rr also refines and migrates."""
     rec = _Recorder(config, problem)
-    gt = rec.gt
-    stream = TaskStream(ground_truth=gt, rng_seed=config.seed)
+    gt, stream = rec.gt, rec.stream
     check_rng = rng_substream(config.seed, NS_CHECK)
 
     active: Subspace | None = None
@@ -300,24 +293,20 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     H = np.zeros((config.m, config.d))  # row t: task t's classifier, in span(active)
     refinements = 0
     refinement_converged = True
-    rep = comb = chk = 0
 
     for t in range(config.m):
         passed = False
         if active is not None:
             h = learn_in_feature_space(stream, t, active, config.epsilon, config.c_s)
-            comb += h.samples_used
             if config.check_mode == "oracle":
                 passed = check_hypothesis(h, t, gt, config.epsilon)
             else:
-                passed, n_chk = check_hypothesis_mc(h, t, gt, config.epsilon, check_rng)
-                chk += n_chk
+                passed = check_hypothesis_mc(h, t, stream, config.epsilon, check_rng)
             if passed:
                 H[t] = h.direction
 
         if not passed:
             fresh = learn_halfspace(stream, t, config.epsilon_acc, config.c_s)
-            rep += fresh.samples_used
             if config.mode == "rr":
                 raw.append(fresh.direction)
                 raw_span = extend(raw_span, fresh.direction)
@@ -347,16 +336,13 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             redo = np.flatnonzero(rec.err[: t + 1] > config.epsilon)
             for i in redo.tolist():
                 h = learn_in_feature_space(stream, i, active, config.epsilon, config.c_s)
-                comb += h.samples_used
                 H[i] = h.direction
             rec.err[redo] = task_errors(H[redo], gt.a[redo])
             rec.relearns.extend(redo.tolist())
 
-        rec.close(t, active, rep + comb + chk)
+        rec.close(t, active)
 
-    return rec.report(
-        rep, comb, chk, refinements=refinements, converged=refinement_converged
-    )
+    return rec.report(refinements, refinement_converged)
 
 
 def _top_k_basis(E: np.ndarray, gram: np.ndarray | None, k: int) -> np.ndarray:
@@ -381,8 +367,7 @@ def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
     Curves are per-prefix so they are comparable to the sequential modes.
     """
     rec = _Recorder(config, problem)
-    gt = rec.gt
-    stream = TaskStream(ground_truth=gt, rng_seed=config.seed)
+    gt, stream = rec.gt, rec.stream
 
     est = np.zeros((config.m, config.d))
     gram = None  # est[: t + 1]' est[: t + 1] once t + 1 > d
@@ -394,9 +379,9 @@ def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             gram = est[: t + 1].T @ est[: t + 1]
         B = _top_k_basis(est[: t + 1], gram, config.k)
         _, rec.err[: t + 1] = _project_rows(est[: t + 1], B, gt.a[: t + 1])
-        rec.close(t, Subspace(basis=B), (t + 1) * config.N)
+        rec.close(t, Subspace(basis=B))
 
-    return rec.report(config.m * config.N)
+    return rec.report()
 
 
 @one_blas_thread()
@@ -412,24 +397,23 @@ def run_one(config: RunConfig, problem: GroundTruth | None = None) -> RunReport:
     return _run_lll(config, problem)
 
 
-def trial_configs(config: RunConfig) -> list:
-    """One single-trial config per trial, seeded seed, seed+1, ...
+def trial_configs(config: RunConfig, trials: int) -> list:
+    """One config per trial, seeded seed, seed+1, ...
 
     Modes sharing a base seed therefore see identical problems and sample
     streams trial by trial, which pairs their comparisons.
     """
-    return [
-        replace(config, seed=config.seed + i, trials=1)
-        for i in range(config.trials)
-    ]
+    return [replace(config, seed=config.seed + i) for i in range(trials)]
 
 
 @one_blas_thread()
-def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
-    """Run the trials of one config, or of a sequence of configs, in one pool.
+def run_trials(
+    config: RunConfig | Sequence[RunConfig], trials: int = 1, jobs: int = 1
+) -> list:
+    """Run `trials` trials of one config, or of each of a sequence, in one pool.
 
-    Given one RunConfig, returns its config.trials reports in trial order.
-    Given a sequence of configs, returns one such list per config, in the
+    Given one RunConfig, returns its `trials` reports in trial order. Given
+    a sequence of configs, returns one such list per config, in the
     sequence's order; the trials of all of them share a single pool.
 
     At most min(jobs, total trials, available cores) forked worker processes
@@ -438,12 +422,14 @@ def run_trials(config: RunConfig | Sequence[RunConfig], jobs: int = 1) -> list:
     thread; with one worker the trials run serially in this process. The
     pool is forked with OpenBLAS already at one thread, so no worker has
     to shrink the thread pool it inherits.
-    Raises ValueError for jobs < 1.
+    Raises ValueError, before any run, for trials < 1 or jobs < 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     single = isinstance(config, RunConfig)
-    groups = [trial_configs(c) for c in ((config,) if single else config)]
+    groups = [trial_configs(c, trials) for c in ((config,) if single else config)]
     cfgs = [c for group in groups for c in group]
     cores = available_cores()
     workers = min(jobs, len(cfgs), cores)

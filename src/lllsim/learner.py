@@ -1,8 +1,9 @@
 """Single-task halfspace learners with explicit sample budgets.
 
-The lifelong drivers treat these as black boxes: each call costs a number
-of labeled samples fixed by the budget formula, and the returned hypothesis
-either meets the target error or gets caught by the post-hoc check.
+The lifelong drivers treat these as black boxes: each call draws a number
+of labeled samples fixed by the budget formula, counted by the stream it
+draws from, and the returned hypothesis either meets the target error or
+gets caught by the post-hoc check.
 
 The estimator runs in two stages. The empirical sum of y*x points at the
 target in expectation (E[y*x] = sqrt(2/pi) * a under Gaussian inputs) but
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Subspace
-from .synthetic import GroundTruth, TaskStream, sample_batch, task_error_exact
+from .synthetic import CHECKING, GroundTruth, TaskStream, sample_batch, task_error_exact
 
 _POLISH_EPOCHS = 64
 _POLISH_BLOCK = 256
@@ -46,10 +47,9 @@ def budget(dim: int, eps_target: float, c_s: float) -> int:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A unit direction plus the sample count it cost to produce."""
+    """A learned unit direction in R^d; its samples are counted by the stream."""
 
     direction: np.ndarray
-    samples_used: int
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float).ravel()
@@ -146,7 +146,7 @@ def learn_halfspace(
 ) -> Hypothesis:
     """Learn one task in the full ambient space at its sample budget."""
     n = budget(stream.ground_truth.d, eps_target, c_s)
-    return Hypothesis(direction=estimate_direction(stream, task, n), samples_used=n)
+    return Hypothesis(estimate_direction(stream, task, n))
 
 
 def learn_in_feature_space(
@@ -164,8 +164,7 @@ def learn_in_feature_space(
     from V no coefficient vector can be good; the caller is expected to check.
     """
     n = budget(V.dim, eps_target, c_s)
-    coords = estimate_direction(stream, task, n, basis=V.basis)
-    return Hypothesis(direction=V.basis @ coords, samples_used=n)
+    return Hypothesis(V.basis @ estimate_direction(stream, task, n, basis=V.basis))
 
 
 def check_hypothesis(h: Hypothesis, task: int, gt: GroundTruth, eps: float) -> bool:
@@ -178,12 +177,12 @@ def mc_check_cost(eps: float) -> int:
 
 
 def check_hypothesis_mc(
-    h: Hypothesis, task: int, gt: GroundTruth, eps: float, rng: np.random.Generator
-) -> tuple[bool, int]:
-    """Monte-Carlo error check; returns (passed, samples charged)."""
+    h: Hypothesis, task: int, stream: TaskStream, eps: float, rng: np.random.Generator
+) -> bool:
+    """Monte-Carlo error check on mc_check_cost(eps) rows, charged to checking."""
     n_test = mc_check_cost(eps)
-    x = rng.standard_normal((n_test, gt.d))
-    true_y = x @ gt.a[task] >= 0.0
+    stream.drawn[task, CHECKING] += n_test
+    x = rng.standard_normal((n_test, stream.ground_truth.d))
+    true_y = x @ stream.ground_truth.a[task] >= 0.0
     hyp_y = x @ h.direction >= 0.0
-    frac = float(np.count_nonzero(true_y != hyp_y)) / n_test
-    return frac <= eps, n_test
+    return float(np.count_nonzero(true_y != hyp_y)) / n_test <= eps

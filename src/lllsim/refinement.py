@@ -243,7 +243,7 @@ def solve_refinement_sdp(
     Step 1 is the best response to uniform weights; steps 2, 3, ... are
     adaptive mirror-prox steps from the centre (see the module docstring).
     `iterations` counts step 1 and every accepted mirror-prox step, and
-    `max_iters` (default ceil(2000 ln n)) bounds it; the step size is set
+    `max_iters` (default ceil(500 ln n)) bounds it; the step size is set
     by the local test, not by the budget. Primal candidates are step 1's
     best response, the centre, every iterate and the step-weighted average
     of the half steps; dual candidates are the eigenvalue sums at uniform
@@ -300,7 +300,7 @@ def solve_refinement_sdp(
     s = r - k
     log_n = math.log(n)  # n >= r >= 2 here
     if max_iters is None:
-        max_iters = math.ceil(2000.0 * log_n)
+        max_iters = math.ceil(500.0 * log_n)
     checkpoints: list[tuple] = []
     stride = max(1, max_iters // 64)
 

@@ -20,7 +20,8 @@ float64 coordinates instead: z = B^T x and the label need only r + 1
 normals per row, since a.x = z.c + (a - Bc).x with c = B^T a, and the
 second term is Gaussian and independent of z. Problems, Monte-Carlo checks
 and the other streams use Philox substreams, whose namespaces are listed
-here once.
+here once. A stream's `drawn` counts every labeled row a run draws, the
+Monte-Carlo check rows included, per task and ledger phase.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ NS_ORACLE = 2  # Monte-Carlo disagreement, drawn only by the test oracles
 NS_LB_PATTERNS = 10  # lowerbound: random coordinate patterns
 NS_LB_TRIALS = 11  # lowerbound: new-task trials
 NS_CHECK = 20  # driver: Monte-Carlo acceptance checks
+
+# The sample ledger's phases, the columns of TaskStream.drawn
+REPRESENTATION, COMBINATION, CHECKING = range(3)
 
 
 def rng_substream(seed: int, *path: int) -> np.random.Generator:
@@ -91,11 +95,19 @@ class SampleBatch:
 
 @dataclass
 class TaskStream:
-    """Deterministic per-task sample streams over one ground truth."""
+    """Deterministic per-task sample streams over one ground truth.
+
+    `drawn[task, phase]` counts the labeled rows drawn for the task in each
+    ledger phase: REPRESENTATION, COMBINATION and CHECKING, in that order.
+    """
 
     ground_truth: GroundTruth
     rng_seed: int
+    drawn: np.ndarray = field(init=False, repr=False)
     _batch_counters: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.drawn = np.zeros((self.ground_truth.m, 3), dtype=np.int64)
 
 
 def generate_problem(d: int, k: int, m: int, seed: int) -> GroundTruth:
@@ -135,7 +147,9 @@ def sample_batch(
     the coordinates z = B^T x (columns 1..r, returned as x) and g (column
     0) for the part of a outside B: y = sign(z.c + |a - Bc| g), c = B^T a,
     which has the law of (B^T x, sign(a.x)) at O(n*r) time and memory. Both
-    kinds share the task's batch counter. Ties go to +1.
+    kinds share the task's batch counter. Ties go to +1. The n rows are
+    charged to the task's representation column of `stream.drawn` without
+    a basis, and to its combination column with one.
     """
     gt = stream.ground_truth
     if not (0 <= task < gt.m):
@@ -144,6 +158,7 @@ def sample_batch(
         raise ValueError("n must be >= 1")
     batch_idx = stream._batch_counters.get(task, 0)
     stream._batch_counters[task] = batch_idx + 1
+    stream.drawn[task, REPRESENTATION if basis is None else COMBINATION] += n
     seq = np.random.SeedSequence([stream.rng_seed, NS_BATCH, task, batch_idx])
     a = gt.a[task]
     if basis is not None:

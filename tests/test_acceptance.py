@@ -104,10 +104,11 @@ def test_solved_instances_keep_eigenvalue_floor(planted_solutions):
 
 def test_lifelong_protocol_dims_accuracy_and_angle_advantage():
     t0 = time.perf_counter()
-    base = dict(d=100, k=5, m=100, N=200, epsilon=0.1, seed=0, trials=10)
-    basic = run_trials(RunConfig(mode="basic", **base), jobs=4)
-    rr = run_trials(RunConfig(mode="rr", **base), jobs=4)
-    run_trials(RunConfig(mode="joint", **base), jobs=4)  # offline baseline leg
+    base = dict(d=100, k=5, m=100, N=200, epsilon=0.1, seed=0)
+    basic = run_trials(RunConfig(mode="basic", **base), trials=10, jobs=4)
+    rr = run_trials(RunConfig(mode="rr", **base), trials=10, jobs=4)
+    # the offline baseline leg
+    run_trials(RunConfig(mode="joint", **base), trials=10, jobs=4)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
 
@@ -123,9 +124,7 @@ def test_lifelong_protocol_dims_accuracy_and_angle_advantage():
 
 
 def _mean_samples_total(**kwargs):
-    reports = run_trials(
-        RunConfig(mode="basic", seed=0, trials=12, **kwargs), jobs=4
-    )
+    reports = run_trials(RunConfig(mode="basic", seed=0, **kwargs), trials=12, jobs=4)
     return float(np.mean([r.samples_total for r in reports]))
 
 

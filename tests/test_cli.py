@@ -7,7 +7,7 @@ and artifact bytes are all observable without spawning subprocesses.
 import csv
 import math
 import types
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -476,6 +476,21 @@ def test_nonpositive_jobs_exit_2_before_any_trial(
 
 
 @pytest.mark.parametrize(
+    "command", [("simulate",), ("sweep", "--d-grid", "20,30")], ids=["simulate", "sweep"]
+)
+def test_nonpositive_trials_exit_2_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    def no_trial(cfg):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(driver, "run_one", no_trial)
+    out = tmp_path / "x"
+    rc = run_cli(*command, "--d", 20, "--k", 2, "--m", 5, "--trials", 0, "-o", out)
+    assert rc == 2
+    assert "trials must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "grid, name",
     [
         (("--d-grid", "20,30,20"), "d_grid"),
@@ -869,14 +884,15 @@ def test_lowerbound_resolved_config_roundtrip(tmp_path, args):
 
 # ------------------------------------------------------------------- flags
 
-# Every field set to a non-None value of its own type.
-_FULL_CONFIG = RunConfig(d=4, k=2, m=3, r_max=3)
+# Every RunConfig field, and the trial count, set to a non-None value of its
+# own type.
+_FULL_CONFIG = {**asdict(RunConfig(d=4, k=2, m=3, r_max=3)), "trials": 2}
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-@pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+@pytest.mark.parametrize("field", list(_FULL_CONFIG))
 def test_every_run_field_is_a_typed_flag(command, field):
-    value = getattr(_FULL_CONFIG, field)
+    value = _FULL_CONFIG[field]
     flag = "--" + field.replace("_", "-")
     args = cli.build_parser().parse_args([command, flag, str(value)])
     parsed = getattr(args, field)

@@ -4,7 +4,7 @@ import math
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,7 +69,7 @@ def test_config_is_frozen():
         dict(d=10, k=2, m=5, c_s=0.0),
         dict(d=10, k=2, m=5, c_s=math.inf),
         dict(d=10, k=2, m=5, c_s=math.nan),
-        dict(d=10, k=2, m=5, trials=0),
+        dict(d=10, k=2, m=5, epsilon=0.0),
         dict(d=10, k=2, m=5, seed=-1),
         dict(d=10, k=2, m=5, N=-1),
         dict(d=10, k=2, m=5, mode="offline"),
@@ -91,6 +91,13 @@ def test_config_has_no_solver_iteration_budget():
     # the solver derives its own budget from the number of features
     with pytest.raises(TypeError, match="sdp_max_iters"):
         RunConfig(d=10, k=2, m=5, sdp_max_iters=5)
+
+
+def test_config_has_no_trial_count():
+    # the trial count is run_trials' argument; a run reads only its config
+    with pytest.raises(TypeError, match="trials"):
+        RunConfig(d=10, k=2, m=5, trials=2)
+    assert len(fields(RunConfig)) == 12
 
 
 def test_single_task_run():
@@ -169,6 +176,36 @@ def test_budget_identity_montecarlo():
         r.samples_total
         == r.samples_representation + r.samples_combination + r.samples_checking
     )
+
+
+@pytest.mark.parametrize("learn", ["learn_halfspace", "learn_in_feature_space"])
+def test_ledger_charges_an_extra_draw(monkeypatch, learn):
+    # a learner that draws 7 rows more than its budget, full-d or in its
+    # basis: the report counts the rows drawn, not the budgets
+    calls = []
+    inner = getattr(driver, learn)
+
+    def greedy(stream, task, *args):
+        basis = args[0].basis if learn == "learn_in_feature_space" else None
+        synthetic.sample_batch(stream, task, 7, basis)
+        calls.append(task)
+        return inner(stream, task, *args)
+
+    monkeypatch.setattr(driver, learn, greedy)
+    cfg = RunConfig(d=40, k=3, m=25, seed=7)
+    r = run_one(cfg)
+    rep = len(r.new_feature_events) * budget(40, cfg.epsilon_acc, cfg.c_s)
+    comb = sum(
+        budget(int(r.feature_dim_curve[t - 1]), cfg.epsilon, cfg.c_s)
+        for t in range(1, cfg.m)
+    )
+    assert calls
+    if learn == "learn_halfspace":
+        rep += 7 * len(calls)
+    else:
+        comb += 7 * len(calls)
+    assert (r.samples_representation, r.samples_combination) == (rep, comb)
+    assert r.samples_cum_curve[-1] == r.samples_total == rep + comb
 
 
 def test_error_contract_oracle_mode():
@@ -364,27 +401,36 @@ def test_angle_is_right_angle_until_dims_match():
 
 
 def test_trial_configs_seed_spacing():
-    cfg = RunConfig(d=10, k=2, m=5, seed=40, trials=3, mode="rr")
-    cfgs = trial_configs(cfg)
+    cfg = RunConfig(d=10, k=2, m=5, seed=40, mode="rr")
+    cfgs = trial_configs(cfg, 3)
     assert [c.seed for c in cfgs] == [40, 41, 42]
-    assert all(c.trials == 1 for c in cfgs)
-    assert all(c.mode == "rr" for c in cfgs)
+    assert all(replace(c, seed=40) == cfg for c in cfgs)
+
+
+def _no_trial(cfg):
+    raise AssertionError("a trial ran")
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_run_trials_rejects_nonpositive_jobs(monkeypatch, jobs):
-    def no_trial(cfg):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(driver, "run_one", no_trial)
+    monkeypatch.setattr(driver, "run_one", _no_trial)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
-        run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=2), jobs=jobs)
+        run_trials(RunConfig(d=15, k=2, m=8, seed=5), trials=2, jobs=jobs)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_run_trials_rejects_nonpositive_trials(monkeypatch, trials):
+    monkeypatch.setattr(driver, "run_one", _no_trial)
+    cfg = RunConfig(d=15, k=2, m=8, seed=5)
+    for config in (cfg, [cfg, replace(cfg, mode="rr")]):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_trials(config, trials=trials, jobs=2)
 
 
 def test_run_trials_parallel_matches_serial():
-    cfg = RunConfig(d=15, k=2, m=8, seed=5, trials=3)
-    serial = run_trials(cfg, jobs=1)
-    parallel = run_trials(cfg, jobs=2)
+    cfg = RunConfig(d=15, k=2, m=8, seed=5)
+    serial = run_trials(cfg, trials=3, jobs=1)
+    parallel = run_trials(cfg, trials=3, jobs=2)
     for a, b in zip(serial, parallel):
         assert a.seed == b.seed
         assert a.samples_total == b.samples_total
@@ -403,7 +449,7 @@ def test_run_trials_caps_workers(
     # workers threads; one worker means no pool, and so no initializer, at all
     monkeypatch.setattr(driver, "available_cores", lambda: cores)
     monkeypatch.setattr(driver, "run_one", lambda cfg: cfg.seed)
-    seeds = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=trials), jobs=jobs)
+    seeds = run_trials(RunConfig(d=15, k=2, m=8, seed=5), trials=trials, jobs=jobs)
     assert seeds == list(range(5, 5 + trials))
     if workers is None:
         assert recorded_pools == []
@@ -418,19 +464,19 @@ def test_run_trials_caps_workers(
 def test_run_trials_shares_one_pool_across_configs(
     monkeypatch, recorded_pools, jobs, cores, workers
 ):
-    # 2 + 3 + 1 trials: one pool of min(jobs, 6, cores) workers for all of
-    # them, and the reports come back config by config, trial by trial
+    # 3 configs of 2 trials: one pool of min(jobs, 6, cores) workers for all
+    # of them, and the reports come back config by config, trial by trial
     monkeypatch.setattr(driver, "available_cores", lambda: cores)
     monkeypatch.setattr(driver, "run_one", lambda cfg: (cfg.mode, cfg.seed))
     cfgs = [
-        RunConfig(d=15, k=2, m=8, seed=5, trials=2, mode="basic"),
-        RunConfig(d=15, k=2, m=8, seed=5, trials=3, mode="rr"),
-        RunConfig(d=15, k=2, m=8, seed=9, trials=1, mode="joint"),
+        RunConfig(d=15, k=2, m=8, seed=5, mode="basic"),
+        RunConfig(d=15, k=2, m=8, seed=5, mode="rr"),
+        RunConfig(d=15, k=2, m=8, seed=9, mode="joint"),
     ]
-    assert run_trials(cfgs, jobs=jobs) == [
+    assert run_trials(cfgs, trials=2, jobs=jobs) == [
         [("basic", 5), ("basic", 6)],
-        [("rr", 5), ("rr", 6), ("rr", 7)],
-        [("joint", 9)],
+        [("rr", 5), ("rr", 6)],
+        [("joint", 9), ("joint", 10)],
     ]
     if workers is None:
         assert recorded_pools == []
@@ -451,13 +497,13 @@ def test_run_trials_one_pool_matches_serial_per_config():
     # a real forked pool for two configs returns what each config's own
     # serial run returns, in order
     cfgs = [
-        RunConfig(d=15, k=2, m=8, seed=5, trials=2, mode="basic"),
-        RunConfig(d=15, k=2, m=8, seed=5, trials=2, mode="rr"),
+        RunConfig(d=15, k=2, m=8, seed=5, mode="basic"),
+        RunConfig(d=15, k=2, m=8, seed=5, mode="rr"),
     ]
-    pooled = run_trials(cfgs, jobs=2)
+    pooled = run_trials(cfgs, trials=2, jobs=2)
     assert len(pooled) == 2
     for cfg, reports in zip(cfgs, pooled):
-        serial = run_trials(cfg, jobs=1)
+        serial = run_trials(cfg, trials=2, jobs=1)
         assert [r.mode for r in reports] == [cfg.mode] * 2
         assert [r.seed for r in reports] == [5, 6]
         assert len(reports) == len(serial)
@@ -517,7 +563,7 @@ def test_run_trials_workers_get_their_fill_share_and_one_blas_thread(monkeypatch
     if _blas_threads() is None:
         pytest.skip("no OpenBLAS get_num_threads symbol found")
     monkeypatch.setattr(driver, "_run_lll", _worker_threads)
-    seen = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=2), jobs=2)
+    seen = run_trials(RunConfig(d=15, k=2, m=8, seed=5), trials=2, jobs=2)
     assert seen == [(cores // 2, 1)] * 2
 
 
@@ -537,7 +583,7 @@ def test_run_trials_forks_its_pool_with_one_blas_thread(monkeypatch):
     if all(getter() == 1 for getter, _ in controls):
         pytest.skip("OpenBLAS already runs at one thread here")
     monkeypatch.setattr(driver, "run_one", _blas_counts)
-    assert run_trials(RunConfig(d=10, k=2, m=3, trials=2), jobs=2) == [[1], [1]]
+    assert run_trials(RunConfig(d=10, k=2, m=3), trials=2, jobs=2) == [[1], [1]]
 
 
 def _run_cli(tmp_path):
@@ -691,7 +737,7 @@ def test_evaluate_report_single():
 
 
 def test_evaluate_report_mean_of_trials():
-    reports = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=3))
+    reports = run_trials(RunConfig(d=15, k=2, m=8, seed=5), trials=3)
     table = evaluate_report(reports)
     expect = np.mean([r.samples_total for r in reports])
     assert table.curve_means["samples_cum_curve"][-1] == pytest.approx(expect)
@@ -723,7 +769,7 @@ def test_report_rows_shape_and_flags():
 
 
 def test_summary_rows_match_columns():
-    reports = run_trials(RunConfig(d=15, k=2, m=8, seed=5, trials=2))
+    reports = run_trials(RunConfig(d=15, k=2, m=8, seed=5), trials=2)
     table = evaluate_report(reports)
     rows = summary_rows(table)
     assert len(rows) == 8

@@ -23,7 +23,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lllsim import cli, lowerbound, synthetic
+from lllsim import cli, driver, learner, lowerbound, synthetic
 from lllsim.driver import RunConfig, RunReport, run_one
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -99,6 +99,57 @@ def test_run_matches_golden_record(name):
         np.testing.assert_allclose(
             got[field], stored[field], rtol=0.0, atol=1e-12, err_msg=field
         )
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that adds the rows of every `standard_normal` draw to a list."""
+
+    def __init__(self, bit_generator, rows: list):
+        super().__init__(bit_generator)
+        self.rows = rows
+
+    def standard_normal(self, *args, **kwargs):
+        out = super().standard_normal(*args, **kwargs)
+        self.rows.append(out.shape[0])
+        return out
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_ledger_matches_every_draw(name, monkeypatch):
+    # a spy on every labeled row a run draws, counted apart from the
+    # stream's own ledger: learner batches by phase (full-d is
+    # representation, in a basis is combination) and the driver's
+    # Monte-Carlo check rows; its running total at each task's close is
+    # that task's point of the cumulative curve
+    spied = {"representation": [], "combination": [], "checking": []}
+    cum = []
+
+    def batch_spy(stream, task, n, basis=None):
+        batch = sample_batch(stream, task, n, basis)
+        phase = "representation" if basis is None else "combination"
+        spied[phase].append(len(batch))
+        return batch
+
+    def check_rng(seed, *path):
+        assert path == (synthetic.NS_CHECK,)
+        gen = synthetic.rng_substream(seed, *path).bit_generator
+        return _CountingGenerator(gen, spied["checking"])
+
+    def close_spy(rec, t, V):
+        cum.append(sum(map(sum, spied.values())))
+        close(rec, t, V)
+
+    sample_batch, close = learner.sample_batch, driver._Recorder.close
+    monkeypatch.setattr(learner, "sample_batch", batch_spy)
+    monkeypatch.setattr(driver, "rng_substream", check_rng)
+    monkeypatch.setattr(driver._Recorder, "close", close_spy)
+    config = CONFIGS[name]
+    report = run_one(RunConfig(**config))
+    for phase, rows in spied.items():
+        assert getattr(report, f"samples_{phase}") == sum(rows), phase
+    assert (len(spied["checking"]) > 0) == (config.get("check_mode") == "montecarlo")
+    assert report.samples_cum_curve.tolist() == cum
+    assert cum[-1] == report.samples_total
 
 
 def test_corpus_records_every_report_field_but_wall_time():

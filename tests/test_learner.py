@@ -19,6 +19,9 @@ from lllsim.learner import (
     learn_in_feature_space,
 )
 from lllsim.synthetic import (
+    CHECKING,
+    COMBINATION,
+    REPRESENTATION,
     GroundTruth,
     TaskStream,
     generate_problem,
@@ -76,7 +79,10 @@ def test_learn_halfspace_budget_and_unit_norm():
     gt = generate_problem(d=30, k=3, m=5, seed=2)
     stream = TaskStream(ground_truth=gt, rng_seed=2)
     h = learn_halfspace(stream, task=1, eps_target=0.1, c_s=4.0)
-    assert h.samples_used == budget(30, 0.1, 4.0)
+    # one full-d batch of the budget, charged to task 1's representation column
+    want = np.zeros((5, 3), dtype=int)
+    want[1, REPRESENTATION] = budget(30, 0.1, 4.0)
+    assert np.array_equal(stream.drawn, want)
     assert np.linalg.norm(h.direction) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -290,14 +296,17 @@ def test_full_d_learn_holds_one_float32_batch():
     assert peak <= 1.2 * n * d * 4
 
 
-def _assert_in_span_answer(h, V, gt, seed: int, task: int) -> None:
-    """h is a unit vector of R^d in span(V), and V.basis @ the coordinate fit
-    of a stream seeded like the one that produced it."""
+def _assert_in_span_answer(h, V, stream, task: int, n: int) -> None:
+    """h is a unit vector of R^d in span(V), the only draw from `stream` was
+    n rows charged to the task's combination column, and h is V.basis @ the
+    coordinate fit of a stream seeded like that one."""
+    gt = stream.ground_truth
     assert h.direction.shape == (gt.d,)
     assert np.linalg.norm(h.direction) == pytest.approx(1.0, abs=1e-12)
     assert dist_to_subspace(h.direction, V) <= 1e-12
-    stream = TaskStream(ground_truth=gt, rng_seed=seed)
-    coords = estimate_direction(stream, task, h.samples_used, basis=V.basis)
+    assert stream.drawn.sum() == stream.drawn[task, COMBINATION] == n
+    twin = TaskStream(ground_truth=gt, rng_seed=stream.rng_seed)
+    coords = estimate_direction(twin, task, n, basis=V.basis)
     assert np.array_equal(h.direction, V.basis @ coords)
 
 
@@ -306,8 +315,8 @@ def test_learn_in_feature_space_realizable():
     V = orthonormalize(list(gt.W_star))
     stream = TaskStream(ground_truth=gt, rng_seed=13)
     h = learn_in_feature_space(stream, task=3, V=V, eps_target=0.1, c_s=4.0)
-    assert h.samples_used == budget(2, 0.1, 4.0) == 185
-    _assert_in_span_answer(h, V, gt, seed=13, task=3)
+    _assert_in_span_answer(h, V, stream, task=3, n=budget(2, 0.1, 4.0))
+    assert budget(2, 0.1, 4.0) == 185
     assert task_error_exact(h.direction, 3, gt) <= 0.1
 
 
@@ -317,7 +326,7 @@ def test_learn_in_feature_space_orthogonal_target():
     V = orthonormalize([np.eye(6)[1], np.eye(6)[2]])
     stream = TaskStream(ground_truth=gt, rng_seed=7)
     h = learn_in_feature_space(stream, task=0, V=V, eps_target=0.1, c_s=4.0)
-    _assert_in_span_answer(h, V, gt, seed=7, task=0)
+    _assert_in_span_answer(h, V, stream, task=0, n=budget(2, 0.1, 4.0))
     assert task_error_exact(h.direction, 0, gt) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -325,44 +334,43 @@ def test_check_hypothesis_inclusive_threshold():
     gt = _single_task_problem(np.eye(8)[0])
     a = gt.a[0]
     perp = np.eye(8)[1]
-    exact = Hypothesis(direction=a, samples_used=0)
+    exact = Hypothesis(direction=a)
     assert check_hypothesis(exact, 0, gt, eps=0.01)
     # orthogonal hypothesis errs exactly 0.5 in floats: boundary is included
-    h_perp = Hypothesis(direction=perp, samples_used=0)
+    h_perp = Hypothesis(direction=perp)
     assert task_error_exact(perp, 0, gt) == 0.5
     assert check_hypothesis(h_perp, 0, gt, eps=0.5)
     assert not check_hypothesis(h_perp, 0, gt, eps=0.4999)
     # generic boundary: checking at the error's own float value passes
     theta = 0.1 * math.pi
-    h_border = Hypothesis(
-        direction=math.cos(theta) * a + math.sin(theta) * perp, samples_used=0
-    )
+    h_border = Hypothesis(direction=math.cos(theta) * a + math.sin(theta) * perp)
     err = task_error_exact(h_border.direction, 0, gt)
     assert check_hypothesis(h_border, 0, gt, eps=err)
     # error 0.12 against eps 0.1 fails
     theta_bad = 0.12 * math.pi
-    h_bad = Hypothesis(
-        direction=math.cos(theta_bad) * a + math.sin(theta_bad) * perp, samples_used=0
-    )
+    h_bad = Hypothesis(direction=math.cos(theta_bad) * a + math.sin(theta_bad) * perp)
     assert not check_hypothesis(h_bad, 0, gt, eps=0.1)
 
 
 def test_check_hypothesis_mc_cost_and_agreement():
     gt = _single_task_problem(np.eye(5)[0])
-    h = Hypothesis(direction=gt.a[0], samples_used=0)
+    stream = TaskStream(ground_truth=gt, rng_seed=0)
+    h = Hypothesis(direction=gt.a[0])
     rng = np.random.default_rng(0)
-    ok, n_test = check_hypothesis_mc(h, 0, gt, eps=0.1, rng=rng)
-    assert ok
-    assert n_test == math.ceil(32 / 0.1) == 320
-    # a wildly wrong hypothesis is rejected
-    bad = Hypothesis(direction=np.eye(5)[1], samples_used=0)
-    ok_bad, _ = check_hypothesis_mc(bad, 0, gt, eps=0.1, rng=np.random.default_rng(1))
-    assert not ok_bad
+    assert check_hypothesis_mc(h, 0, stream, eps=0.1, rng=rng) is True
+    # its rows are charged to checking, and none to the other phases
+    assert stream.drawn[0].tolist() == [0, 0, math.ceil(32 / 0.1)] == [0, 0, 320]
+    # a wildly wrong hypothesis is rejected, and charged the same again
+    bad = Hypothesis(direction=np.eye(5)[1])
+    assert not check_hypothesis_mc(bad, 0, stream, eps=0.1, rng=np.random.default_rng(1))
+    assert stream.drawn[0, CHECKING] == 640
+    # the check draws from rng alone, not from the task's sample stream
+    assert stream._batch_counters == {}
 
 
 def test_hypothesis_requires_unit_direction():
     with pytest.raises(ValueError):
-        Hypothesis(direction=np.array([2.0, 0.0]), samples_used=3)
+        Hypothesis(direction=np.array([2.0, 0.0]))
 
 
 def test_in_span_learn_draws_no_ambient_rows():
@@ -379,6 +387,5 @@ def test_in_span_learn_draws_no_ambient_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert h.samples_used == n
     assert peak <= n * d * 4 / 50
-    _assert_in_span_answer(h, V, gt, seed=1, task=0)
+    _assert_in_span_answer(h, V, stream, task=0, n=n)

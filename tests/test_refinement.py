@@ -121,7 +121,7 @@ def test_solver_stops_on_averaged_dual(seed):
 
 
 def test_solver_gaussian_instance_reaches_1e_3():
-    # seed 0 at tol 1e-3: 66 iterations of the default budget of 9211
+    # seed 0 at tol 1e-3: 66 iterations of the default budget of 2303
     W = _unit_rows(0, 100, 30)
     sol = solve_refinement_sdp(W, k=3, tol=1e-3)
     assert sol.converged and sol.gap <= 1e-3
@@ -133,7 +133,7 @@ def test_solver_gaussian_instance_reaches_1e_3():
 
 
 def test_solver_gaussian_instance_reaches_the_default_tol():
-    # seed 0 at the default tol 1e-4: 148 iterations of the budget of 9211,
+    # seed 0 at the default tol 1e-4: 148 iterations of the budget of 2303,
     # so `lllsim refine --k 3` on these rows exits 0, not 4
     W = _unit_rows(0, 100, 30)
     sol = solve_refinement_sdp(W, k=3)
@@ -227,6 +227,16 @@ def test_solver_nonconvergence_flag():
     assert sol.t == pytest.approx(1.0, abs=1e-12)
     eig = np.linalg.eigvalsh(dense_solution_X(W, sol.k, sol.Xr))
     assert eig[0] >= -1e-6 and eig[-1] <= 1.0 + 1e-6
+
+
+def test_solver_runs_out_its_default_budget_when_tol_is_out_of_reach():
+    # tol 0 is out of reach on Gaussian rows: the solve stops unconverged
+    # after exactly its default budget, ceil(500 ln n) = 1243 at n = 12
+    W = _unit_rows(3, 12, 6)
+    sol = solve_refinement_sdp(W, k=2, tol=0.0)
+    assert sol.iterations == math.ceil(500 * math.log(12)) == 1243
+    assert not sol.converged and sol.gap > 0.0
+    assert sol.checkpoints[-1][0] == 1243
 
 
 def test_solver_deterministic():
