@@ -41,6 +41,8 @@ from .driver import (
     summary_rows,
 )
 from .lowerbound import (
+    TRIAL_BLOCK,
+    AngleStats,
     LedgerReport,
     build_instance,
     new_task_angle_stats,
@@ -140,11 +142,15 @@ def _echo_config(out_dir: Path, merged: dict) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Header, then `rows`, an iterable of rows taken one at a time.
+
+    Every cell must be a Python int, float or str: csv writes a float as
+    its repr, which for a numpy scalar is not the number's text.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def _scalar(hint):
@@ -269,12 +275,9 @@ def _cmd_simulate(merged: dict, out_dir: Path) -> int:
     cfgs = [_base_config(dict(merged, mode=mode)) for mode in modes]
     groups = run_trials(cfgs, merged["trials"], merged["jobs"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_rows = []
     report_lines = []
     problems = []
     for cfg, reports in zip(cfgs, groups):
-        for trial, rep in enumerate(reports):
-            all_rows.extend(report_rows(rep, trial))
         table = evaluate_report(reports)
         _write_csv(
             out_dir / f"summary_{cfg.mode}.csv", SUMMARY_COLUMNS, summary_rows(table)
@@ -283,7 +286,13 @@ def _cmd_simulate(merged: dict, out_dir: Path) -> int:
         problems.extend(mode_problems)
         report_lines.extend(_mode_report_lines(cfg, reports, mode_problems))
 
-    _write_csv(out_dir / "runs.csv", REPORT_COLUMNS, all_rows)
+    runs = (
+        row
+        for reports in groups
+        for trial, rep in enumerate(reports)
+        for row in report_rows(rep, trial)
+    )
+    _write_csv(out_dir / "runs.csv", REPORT_COLUMNS, runs)
     _echo_config(out_dir, merged)
     return _finish(out_dir, report_lines, problems, _converged(groups))
 
@@ -464,10 +473,7 @@ def _cmd_lowerbound(merged: dict, out_dir: Path) -> int:
     _write_csv(
         out_dir / "angles.csv",
         ("task_index", "angle", "threshold", "exceeds"),
-        [
-            [i, float(a), float(stats.threshold), int(a >= stats.threshold)]
-            for i, a in enumerate(stats.angles)
-        ],
+        _angle_rows(stats),
     )
     columns = [f.name for f in fields(LedgerReport)]
     _write_csv(
@@ -488,6 +494,14 @@ def _cmd_lowerbound(merged: dict, out_dir: Path) -> int:
     ]
     print("\n".join(lines))
     return EXIT_OK
+
+
+def _angle_rows(stats: AngleStats):
+    """angles.csv rows, made from one block of angles at a time."""
+    thr = stats.threshold
+    for lo in range(0, stats.angles.size, TRIAL_BLOCK):
+        for i, a in enumerate(stats.angles[lo : lo + TRIAL_BLOCK].tolist(), lo):
+            yield i, a, thr, int(a >= thr)
 
 
 def _ledger_cell(value):

@@ -16,7 +16,8 @@ the raw features the same way, and hands it to each refinement, whose
 solver would otherwise orthonormalize them all again. Per-task classifiers
 are the rows of one (m, d) array of ambient unit vectors, all inside the
 active subspace. Migrating them to a refined basis is one projection of
-that array, and their errors come from one batched `task_errors` call.
+that array, and their errors come from one batched `task_errors` call per
+block of at most `_ROW_BLOCK` rows, so its transients stay O(block * d).
 
 Every labeled sample is charged where it is drawn, to one ledger phase
 (representation, combination, checking) of the run's `TaskStream.drawn`;
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Subspace, extend, orthonormalize, principal_angles
+from .geometry import Subspace, extend, orthonormalize, principal_angles, row_blocks
 from .learner import (
     check_hypothesis,
     check_hypothesis_mc,
@@ -56,6 +57,10 @@ from .threads import available_cores, one_blas_thread, set_fill_share
 
 MODES = ("basic", "rr", "joint")
 CHECK_MODES = ("oracle", "montecarlo")
+
+# Rows per block of `_project_rows`; a run of at most this many tasks
+# projects its classifiers in one block.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -195,20 +200,25 @@ def _angle_to_truth(V: Subspace, truth: Subspace) -> float:
 
 
 def _project_rows(
-    H: np.ndarray, B: np.ndarray, A: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of H projected onto span(B) and normalized, and their errors on A.
+    H: np.ndarray, B: np.ndarray, A: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Errors on A of the rows of H projected onto span(B) and normalized.
 
-    A row whose projection vanishes is lost: it is not normalized, and its
-    error is 1.0.
+    The projected rows go to `out` if given, which may be H itself. A row
+    whose projection vanishes is lost: it is not normalized, and its error
+    is 1.0. Rows go at most _ROW_BLOCK at a time, so the transients are
+    O(_ROW_BLOCK * d) however many rows there are.
     """
-    P = (H @ B) @ B.T
-    norms = np.linalg.norm(P, axis=1)
-    kept = norms >= 1e-12
-    P[kept] /= norms[kept, None]
     err = np.ones(len(H))
-    err[kept] = task_errors(P[kept], A[kept])
-    return P, err
+    for rows in row_blocks(len(H), _ROW_BLOCK):
+        P = (H[rows] @ B) @ B.T
+        norms = np.linalg.norm(P, axis=1)
+        kept = norms >= 1e-12
+        P[kept] /= norms[kept, None]
+        err[rows][kept] = task_errors(P[kept], A[rows][kept])
+        if out is not None:
+            out[rows] = P
+    return err
 
 
 def _resolve_problem(config: RunConfig, problem: GroundTruth | None) -> GroundTruth:
@@ -329,8 +339,8 @@ def _run_lll(config: RunConfig, problem: GroundTruth | None) -> RunReport:
             )
             refinements += 1
             refinement_converged = refinement_converged and sol.converged
-            H[: t + 1], rec.err[: t + 1] = _project_rows(
-                H[: t + 1], active.basis, gt.a[: t + 1]
+            rec.err[: t + 1] = _project_rows(
+                H[: t + 1], active.basis, gt.a[: t + 1], out=H[: t + 1]
             )
             # every lost classifier (error 1.0) is among those relearned
             redo = np.flatnonzero(rec.err[: t + 1] > config.epsilon)
@@ -378,7 +388,7 @@ def _run_joint(config: RunConfig, problem: GroundTruth | None) -> RunReport:
         elif t + 1 > config.d:
             gram = est[: t + 1].T @ est[: t + 1]
         B = _top_k_basis(est[: t + 1], gram, config.k)
-        _, rec.err[: t + 1] = _project_rows(est[: t + 1], B, gt.a[: t + 1])
+        rec.err[: t + 1] = _project_rows(est[: t + 1], B, gt.a[: t + 1])
         rec.close(t, Subspace(basis=B))
 
     return rec.report()

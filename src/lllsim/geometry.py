@@ -38,6 +38,18 @@ class Subspace:
         return self.basis.shape[1]
 
 
+def row_blocks(n: int, size: int) -> list[slice]:
+    """ceil(n / size) consecutive slices over n rows, of nearly equal length,
+    none longer than `size`.
+
+    With size >= 4 only n = 1 gives a one-row block. numpy takes a one-row
+    product through gemv, whose sums can round differently from gemm's, so
+    a lone last row of a fixed-size split would move that row's result.
+    """
+    q = -(-n // size)
+    return [slice(i * n // q, (i + 1) * n // q) for i in range(q)]
+
+
 def extend(V: Subspace | None, v) -> Subspace | None:
     """V with the normalized residual of ``v`` appended as one more column.
 

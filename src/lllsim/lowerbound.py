@@ -20,8 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Subspace, orthonormalize
+from .geometry import Subspace, orthonormalize, row_blocks
 from .synthetic import NS_LB_PATTERNS, NS_LB_TRIALS, rng_substream
+
+# Most tasks scored per block: the exceedance statistic holds 8 bytes per
+# task plus one block of (k+1)-column rows, whatever the number of tasks.
+TRIAL_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -141,12 +145,17 @@ def build_instance(
     return LowerBoundInstance(k=k, patterns=patterns, eps_vector=eps, S=S, seed=seed)
 
 
-def _exceedance(instance: LowerBoundInstance, patterns: np.ndarray) -> AngleStats:
-    """Angles of the patterns' tasks to the adversarially learned span.
+def _score(instance: LowerBoundInstance, n: int, block_patterns) -> AngleStats:
+    """The exceedance statistic of n tasks, scored one block of rows at a time.
+
+    `block_patterns(rows)` gives the patterns of the tasks in the slice
+    `rows`; it is called for the blocks of `row_blocks(n, TRIAL_BLOCK)` in
+    order.
 
     Requires the balance condition on eps over S: no entry above twice the
     RMS. The exceedance threshold is (1/16) * sqrt(sum of eps_i^2 over S),
-    counted inclusively.
+    counted inclusively. The check, the adversarial span and the threshold
+    are computed once; only the angles array grows with n.
     """
     eps_S = instance.eps_vector[list(instance.S)]
     rms = math.sqrt(float(np.sum(eps_S**2)) / len(instance.S))
@@ -156,9 +165,12 @@ def _exceedance(instance: LowerBoundInstance, patterns: np.ndarray) -> AngleStat
             f"balance condition violated: max eps {worst} exceeds 2*RMS {2 * rms}"
         )
     B = instance.adversarial_span().basis  # (d, |S|)
-    resid = _tasks(patterns)
-    resid -= (resid @ B) @ B.T
-    angles = np.arcsin(np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0))
+    angles = np.empty(n)
+    for rows in row_blocks(n, TRIAL_BLOCK):
+        resid = _tasks(block_patterns(rows))
+        resid -= (resid @ B) @ B.T
+        norms = np.linalg.norm(resid, axis=1)
+        angles[rows] = np.arcsin(np.clip(norms, 0.0, 1.0))
     threshold = math.sqrt(float(np.sum(eps_S**2))) / 16.0
     return AngleStats(
         angles=angles,
@@ -168,13 +180,19 @@ def _exceedance(instance: LowerBoundInstance, patterns: np.ndarray) -> AngleStat
     )
 
 
+def _exceedance(instance: LowerBoundInstance, patterns: np.ndarray) -> AngleStats:
+    """Angles of the patterns' tasks to the adversarially learned span."""
+    return _score(instance, patterns.shape[0], patterns.__getitem__)
+
+
 def new_task_angle_stats(
     instance: LowerBoundInstance, trials: int | None = None
 ) -> AngleStats:
     """The exceedance statistic of Bernoulli combination tasks.
 
     With `trials` given, draws that many fresh patterns from a dedicated
-    substream; otherwise evaluates the instance's own random tasks.
+    substream, at most TRIAL_BLOCK at a time, each block drawn and scored
+    before the next; otherwise evaluates the instance's own random tasks.
     """
     if trials is None:
         if instance.patterns.shape[0] == 0:
@@ -183,8 +201,12 @@ def new_task_angle_stats(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = rng_substream(instance.seed, NS_LB_TRIALS)
-    patterns = _draw_patterns(rng, trials, instance.k, list(instance.S))
-    return _exceedance(instance, patterns)
+    k, cols = instance.k, list(instance.S)
+
+    def draw(rows: slice) -> np.ndarray:
+        return _draw_patterns(rng, rows.stop - rows.start, k, cols)
+
+    return _score(instance, trials, draw)
 
 
 def allocation_cost(d: int, k: int, allocation, eps_target: float, n_random: int):

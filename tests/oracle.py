@@ -28,6 +28,16 @@ row at a time, redrawing each all-zero row, as the harness did before it
 drew them in blocks. The lower-bound tests compare `_draw_patterns` against
 it bit for bit.
 
+`project_rows_unblocked` is the driver's projection of classifier rows onto
+a span, with their errors, taken over all rows at once, as the driver did
+before it projected them in row blocks. The driver tests compare
+`_project_rows` against it bit for bit.
+
+`unblocked_angle_stats` is `new_task_angle_stats` with fresh trials as the
+harness computed it before it scored them in blocks: every pattern drawn
+at once, then every task's angle from one product. The lower-bound tests
+compare the blocked statistic against it bit for bit around the block size.
+
 `adversarial_subspace_angle` is the largest principal angle between the
 basis tasks' span and the span of the adversary's answers to them, computed
 with `orthonormalize` and `principal_angles`. The lower-bound tests compare
@@ -73,7 +83,7 @@ from lllsim.lowerbound import (
     _tasks,
 )
 from lllsim.refinement import _feature_matrix, _fix_signs
-from lllsim.synthetic import NS_ORACLE, rng_substream
+from lllsim.synthetic import NS_LB_TRIALS, NS_ORACLE, rng_substream, task_errors
 
 _MC_CHUNK = 1 << 18
 _EXHAUSTIVE_CAP = 18  # 2^18 patterns is the largest exhaustive sweep allowed
@@ -355,6 +365,54 @@ def draw_patterns_loop(rng: np.random.Generator, n: int, k: int, cols) -> np.nda
             row = rng.integers(0, 2, size=len(cols))
         patterns[j, cols] = row
     return patterns
+
+
+def project_rows_unblocked(
+    H: np.ndarray, B: np.ndarray, A: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of H projected onto span(B) and normalized, and their errors on A;
+    a row whose projection vanishes is left as is, with error 1.0."""
+    P = (H @ B) @ B.T
+    norms = np.linalg.norm(P, axis=1)
+    kept = norms >= 1e-12
+    P[kept] /= norms[kept, None]
+    err = np.ones(len(H))
+    err[kept] = task_errors(P[kept], A[kept])
+    return P, err
+
+
+def unblocked_angle_stats(
+    instance: LowerBoundInstance, trials: int
+) -> tuple[AngleStats, int]:
+    """The statistic of `trials` fresh tasks from one block, and the number of
+    all-zero rows redrawn.
+
+    Each round draws every row still missing from the NS_LB_TRIALS substream
+    and keeps the nonzero ones; all patterns are then scored at once.
+    """
+    rng = rng_substream(instance.seed, NS_LB_TRIALS)
+    cols = list(instance.S)
+    patterns = np.zeros((trials, instance.k))
+    kept = redrawn = 0
+    while kept < trials:
+        block = rng.integers(0, 2, size=(trials - kept, len(cols)))
+        nonzero = block.any(axis=1)
+        redrawn += int((~nonzero).sum())
+        block = block[nonzero]
+        patterns[kept : kept + len(block), cols] = block
+        kept += len(block)
+    B = instance.adversarial_span().basis
+    resid = _tasks(patterns)
+    resid -= (resid @ B) @ B.T
+    angles = np.arcsin(np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0))
+    threshold = math.sqrt(float(np.sum(instance.eps_vector[cols] ** 2))) / 16.0
+    stats = AngleStats(
+        angles=angles,
+        threshold=threshold,
+        fraction_exceeding=float(np.mean(angles >= threshold)),
+        bound=1.0 - math.exp(-len(cols) / 128.0),
+    )
+    return stats, redrawn
 
 
 def adversarial_subspace_angle(eps_vector) -> float:

@@ -6,6 +6,7 @@ and artifact bytes are all observable without spawning subprocesses.
 
 import csv
 import math
+import tracemalloc
 import types
 from dataclasses import asdict, fields
 
@@ -15,7 +16,7 @@ import pytest
 from lllsim import cli, driver, refinement, threads
 from lllsim.driver import REPORT_COLUMNS, RunConfig
 from lllsim.geometry import Subspace
-from lllsim.lowerbound import LedgerReport
+from lllsim.lowerbound import TRIAL_BLOCK, LedgerReport
 
 
 def run_cli(*args):
@@ -880,6 +881,73 @@ def test_lowerbound_resolved_config_roundtrip(tmp_path, args):
     assert run_cli("lowerbound", "--config", first / "config.resolved", "-o", second) == 0
     for name in ("angles.csv", "ledger.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def _lowerbound_peak(out, trials: int) -> int:
+    """tracemalloc peak, in bytes, of one `lowerbound --k 16` command."""
+    tracemalloc.start()
+    try:
+        args = ("--k", 16, "--eps", 0.02, "--trials", trials, "-o", out)
+        assert run_cli("lowerbound", *args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lowerbound_memory_grows_only_by_the_kept_per_trial_arrays(tmp_path, capsys):
+    # Per trial the command keeps the float64 angle (8 bytes) and, while
+    # fraction_exceeding is taken, one bool of the exceedance mask (1 byte):
+    # c = 9. Patterns, their draws, tasks, residuals and CSV rows are made
+    # one block of at most TRIAL_BLOCK rows at a time, the same at T and 4T
+    # trials. Holding every pattern and task at once took ~530 bytes a trial.
+    T = 8 * TRIAL_BLOCK
+    _lowerbound_peak(tmp_path / "warm", T)  # first-call imports and caches
+    small = _lowerbound_peak(tmp_path / "small", T)
+    large = _lowerbound_peak(tmp_path / "large", 4 * T)
+    assert large - small <= 9 * 3 * T
+    assert len(read_csv(tmp_path / "large" / "angles.csv")) == 1 + 4 * T
+
+
+# --------------------------------------------------------------------- csv
+
+
+def test_csv_row_builders_emit_plain_python_cells(tmp_path, monkeypatch):
+    # csv writes a float cell as its repr, which for a numpy scalar is not
+    # the number's text: every row of every CSV must hold exact int, float
+    # or str cells
+    written = {}
+    write = cli._write_csv
+
+    def spy(path, header, rows):
+        rows = list(rows)
+        written[f"{path.parent.name}/{path.name}"] = rows
+        write(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    sim = ("--d", 20, "--k", 2, "--m", 8, "--mode", "all", "--trials", 2)
+    assert run_cli("simulate", *sim, "-o", tmp_path / "sim") == 0
+    sweep = ("--d-grid", "20,30", "--epsilon-grid", "0.2,0.1", "--d", 20, "--k", 2)
+    assert run_cli("sweep", *sweep, "--m", 10, "-o", tmp_path / "sweep") == 0
+    assert run_cli("lowerbound", "--k", 4, "--trials", 30, "-o", tmp_path / "lb") == 0
+    assert sorted(written) == [
+        "lb/angles.csv",
+        "lb/ledger.csv",
+        "sim/runs.csv",
+        "sim/summary_basic.csv",
+        "sim/summary_joint.csv",
+        "sim/summary_rr.csv",
+        "sweep/sweep.csv",
+    ]
+    for name, rows in written.items():
+        assert rows, name
+        for row in rows:
+            assert {type(cell) for cell in row} <= {int, float, str}, (name, row)
+
+
+def test_write_csv_writes_each_float_as_its_repr(tmp_path):
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ("a", "b", "c", "d"), iter([(1e-05, 1e16, 0.1 + 0.2, -0.0)]))
+    assert path.read_bytes() == b"a,b,c,d\r\n1e-05,1e+16,0.30000000000000004,-0.0\r\n"
 
 
 # ------------------------------------------------------------------- flags

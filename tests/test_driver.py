@@ -3,6 +3,7 @@ import ctypes.util
 import math
 import re
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lllsim import cli, driver, geometry, refinement, synthetic, threads
+from lllsim import cli, driver, geometry, learner, refinement, synthetic, threads
 from lllsim.driver import (
     REPORT_COLUMNS,
     SUMMARY_COLUMNS,
@@ -25,6 +26,7 @@ from lllsim.driver import (
 from lllsim.geometry import orthonormalize
 from lllsim.learner import budget, mc_check_cost
 from lllsim.synthetic import GroundTruth
+from oracle import project_rows_unblocked
 
 
 def _identical_tasks(d: int = 10, m: int = 6) -> GroundTruth:
@@ -363,6 +365,76 @@ def test_one_gram_schmidt_for_the_truth_and_one_per_refinement(monkeypatch, mode
     assert len(spans) == events
     assert all(span is out for span, (_, out) in zip(spans, raw_chain))
     assert spans[-1].dim == events
+
+
+def test_row_blocks_cover_the_rows_with_no_lone_row():
+    for size in (4, 256):
+        for n in range(0, 3 * size + 5):
+            blocks = geometry.row_blocks(n, size)
+            assert len(blocks) == -(-n // size)
+            assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+            assert all(len(range(n)[b]) <= size for b in blocks)
+            assert n == 1 or all(len(range(n)[b]) >= 2 for b in blocks)
+
+
+def test_blocked_projection_matches_unblocked_oracle_bitwise():
+    # row counts around one, two and three row blocks; row 3 projects to
+    # zero and is lost
+    d, r = 40, 6
+    rng = np.random.default_rng(5)
+    B = orthonormalize(list(rng.standard_normal((r, d)))).basis
+    block = driver._ROW_BLOCK
+    for n in (1, 2, block - 1, block, block + 1, 2 * block + 1, 3 * block + 2):
+        A = rng.standard_normal((n, d))
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        H = A + 0.3 * rng.standard_normal((n, d))
+        if n > 3:
+            H[3] -= B @ (B.T @ H[3])
+        want_P, want_err = project_rows_unblocked(H, B, A)
+        out = H.copy()
+        err = driver._project_rows(out, B, A, out=out)
+        assert err.tobytes() == want_err.tobytes()
+        assert out.tobytes() == want_P.tobytes()
+        assert driver._project_rows(H, B, A).tobytes() == want_err.tobytes()
+        if n > 3:
+            assert err[3] == 1.0
+
+
+def test_rr_peak_memory_holds_one_batch_the_targets_and_one_row_block(monkeypatch):
+    # rr d=100 m=800 seed 1 refines at task 781, so one projection covers
+    # 782 rows, four row blocks. j = 5: a block's projection holds at most
+    # five (block, d) float64 arrays at once, the projected rows P, their
+    # kept copy P[kept], the targets' kept copy A[kept], and inside
+    # task_errors a difference (or sum) of rows and its square in the norm.
+    # Besides those the run holds one full-d batch (the learner's bound,
+    # 1.2 times its n*d*4 bytes), and H and gt.a, m*d*8 bytes each.
+    # The bound is 3.4 MB; projecting all t + 1 rows at once peaked at 4.7 MB.
+    d, m, j = 100, 800, 5
+    run_one(RunConfig(d=d, k=5, m=20, mode="rr", seed=1))  # first-call imports and caches
+    largest, projected = [0], [0]
+    sample_batch, project_rows = learner.sample_batch, driver._project_rows
+
+    def batch_spy(stream, task, n, basis=None):
+        batch = sample_batch(stream, task, n, basis)
+        if basis is None:
+            largest[0] = max(largest[0], batch.x.nbytes)
+        return batch
+
+    def project_spy(H, *args, **kwargs):
+        projected[0] = max(projected[0], len(H))
+        return project_rows(H, *args, **kwargs)
+
+    monkeypatch.setattr(learner, "sample_batch", batch_spy)
+    monkeypatch.setattr(driver, "_project_rows", project_spy)
+    tracemalloc.start()
+    try:
+        run_one(RunConfig(d=d, k=5, m=m, mode="rr", seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = driver._ROW_BLOCK
+    assert projected[0] > 3 * block
+    assert peak <= 1.2 * largest[0] + 2 * m * d * 8 + j * block * d * 8
 
 
 def test_joint_prefix_dims_and_recovery():

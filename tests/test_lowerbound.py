@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from lllsim import lowerbound
 from lllsim.lowerbound import (
+    TRIAL_BLOCK,
     LedgerReport,
     LowerBoundInstance,
     _draw_patterns,
@@ -22,6 +25,7 @@ from oracle import (
     draw_patterns_loop,
     exhaustive_angle_stats,
     find_balanced_subset,
+    unblocked_angle_stats,
 )
 
 
@@ -144,6 +148,48 @@ def test_new_task_angles_instance_tasks_mode():
     empty = build_instance(k=8, n_random=0, seed=2, eps_vector=[0.08] * 8)
     with pytest.raises(ValueError):
         new_task_angle_stats(empty)
+
+
+class _ZeroRowCounter(np.random.Generator):
+    """A generator that counts the all-zero rows among its `integers` draws."""
+
+    def __init__(self, bit_generator, counts: list):
+        super().__init__(bit_generator)
+        self.counts = counts
+
+    def integers(self, *args, **kwargs):
+        out = super().integers(*args, **kwargs)
+        self.counts.append((len(out), int((~out.any(axis=1)).sum())))
+        return out
+
+
+@pytest.mark.parametrize("subset", [None, (3, 11)])
+def test_blocked_angle_stats_match_unblocked_oracle_bitwise(monkeypatch, subset):
+    # trial counts that a fixed split into TRIAL_BLOCK rows would leave as
+    # one short block, one full block, a full block and a lone row, and two
+    # full blocks and 3 rows; a lone row scored by itself rounds differently
+    # in about half of these seeds. On two coordinates a quarter of all
+    # draws are redrawn zeros.
+    counts = []
+
+    def substream(seed, *path):
+        return _ZeroRowCounter(rng_substream(seed, *path).bit_generator, counts)
+
+    monkeypatch.setattr(lowerbound, "rng_substream", substream)
+    sizes = (TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 2 * TRIAL_BLOCK + 3)
+    for seed, trials in itertools.product(range(8), sizes):
+        inst = build_instance(16, 0, seed=seed, eps_vector=[0.02] * 16, subset=subset)
+        counts.clear()
+        got = new_task_angle_stats(inst, trials)
+        want, redrawn = unblocked_angle_stats(inst, trials)
+        assert got.angles.dtype == want.angles.dtype
+        assert got.angles.tobytes() == want.angles.tobytes()
+        assert got.fraction_exceeding == want.fraction_exceeding
+        assert (got.threshold, got.bound) == (want.threshold, want.bound)
+        drawn = sum(n for n, _ in counts)
+        assert sum(z for _, z in counts) == redrawn == drawn - trials
+        if subset is not None:
+            assert 0.2 < redrawn / drawn < 0.3
 
 
 def test_balance_condition_rejected():
